@@ -5,18 +5,18 @@ Implements the distributed strategy-decision machinery of the paper:
 * :mod:`repro.distributed.messages` -- control messages exchanged on the
   common control channel (weight broadcast, LocalLeader declaration, status
   determination).
-* :mod:`repro.distributed.network` -- a synchronous message-passing simulator
-  with k-hop broadcast and per-vertex cost accounting.
-* :mod:`repro.distributed.vertex` -- per-vertex protocol state (statuses
-  Candidate / LocalLeader / Winner / Loser and local knowledge).
+* :mod:`repro.distributed.vertex` -- the protocol statuses Candidate /
+  LocalLeader / Winner / Loser.
 * :mod:`repro.distributed.transport` -- the :class:`Transport` interface all
-  protocol messages travel through, plus the oracle-backed
-  :class:`SimulatedTransport`.
+  protocol messages travel through, plus :class:`SimulatedTransport`, the
+  synchronous oracle network with k-hop broadcast and per-vertex cost
+  accounting.
 * :mod:`repro.distributed.serialize` -- the versioned JSON wire codec for
   control messages.
 * :mod:`repro.distributed.runtime` -- the message-driven
-  :class:`VertexProtocol` state machine, the :class:`ProtocolEngine` driver
-  and the real :class:`AsyncioTransport`.
+  :class:`VertexProtocol` state machine (status and local knowledge), the
+  :class:`ProtocolEngine` driver (the one mini-round loop) and the real
+  :class:`AsyncioTransport`.
 * :mod:`repro.distributed.ptas` -- the distributed robust PTAS (Algorithm 3).
 * :mod:`repro.distributed.framework` -- the per-round strategy decision
   wrapper used by Algorithm 2, exposing the :class:`repro.mwis.MWISSolver`
@@ -32,8 +32,7 @@ from repro.distributed.messages import (
     LeaderDeclaration,
     StatusDetermination,
 )
-from repro.distributed.network import MessageNetwork
-from repro.distributed.vertex import VertexStatus, VertexAgent
+from repro.distributed.vertex import VertexStatus
 from repro.distributed.transport import Transport, SimulatedTransport
 from repro.distributed.serialize import (
     WIRE_SCHEMA,
@@ -75,7 +74,6 @@ __all__ = [
     "WeightBroadcast",
     "LeaderDeclaration",
     "StatusDetermination",
-    "MessageNetwork",
     "Transport",
     "SimulatedTransport",
     "AsyncioTransport",
@@ -86,7 +84,6 @@ __all__ = [
     "message_to_frame",
     "frame_to_message",
     "VertexStatus",
-    "VertexAgent",
     "VertexProtocol",
     "ProtocolEngine",
     "DistributedRobustPTAS",

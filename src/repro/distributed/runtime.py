@@ -2,22 +2,23 @@
 
 This module splits the protocol into the two halves a real deployment has:
 
-* :class:`VertexProtocol` -- the per-vertex state machine.  It owns one
-  :class:`~repro.distributed.vertex.VertexAgent` (status + local knowledge)
-  and advances through the phases of a mini-round -- LocalLeader
-  selection/declaration (LS/LD), local MWIS (LMWIS), local broadcast of
-  determinations (LB) -- emitting and consuming only the typed messages of
-  :mod:`repro.distributed.messages` through a
+* :class:`VertexProtocol` -- the per-vertex state machine.  It holds the
+  vertex's status and local knowledge and advances through the phases of a
+  mini-round -- LocalLeader selection/declaration (LS/LD), local MWIS
+  (LMWIS), local broadcast of determinations (LB) -- emitting and consuming
+  only the typed messages of :mod:`repro.distributed.messages` through a
   :class:`~repro.distributed.transport.Transport`.  It never reads another
   vertex's state.
 * :class:`ProtocolEngine` -- the synchronous driver: it clocks the phase
   barriers (every vertex finishes a phase before anyone collects), keeps the
   mini-round records and cost accounting, and assembles the
-  :class:`ProtocolResult`.
+  :class:`ProtocolResult`.  Its loop is the only mini-round loop;
+  :class:`ProtocolHooks` are the points where fault injection
+  (:mod:`repro.faults.runtime`) plugs into it.
 
 :class:`AsyncioTransport` is the "real network" counterpart of the oracle
-:class:`~repro.distributed.network.MessageNetwork`: every vertex gets its
-own asyncio mailbox task, frames travel as newline-delimited JSON
+:class:`~repro.distributed.transport.SimulatedTransport`: every vertex gets
+its own asyncio mailbox task, frames travel as newline-delimited JSON
 (:mod:`repro.distributed.serialize`) over in-memory asyncio streams, and the
 router supports configurable latency distributions, reordering and seeded
 drops.  Latency is *virtual* (it permutes delivery order, it does not sleep
@@ -30,7 +31,18 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -44,7 +56,7 @@ from repro.distributed.messages import (
 from repro.distributed.serialize import decode_message, encode_message
 from repro.distributed.telemetry import DeliveryTelemetry
 from repro.distributed.transport import Transport
-from repro.distributed.vertex import VertexAgent, VertexStatus
+from repro.distributed.vertex import VertexStatus
 from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
 from repro.mwis.local import solve_local_mwis
@@ -54,6 +66,7 @@ __all__ = [
     "MiniRoundRecord",
     "ProtocolResult",
     "VertexProtocol",
+    "ProtocolHooks",
     "ProtocolEngine",
     "AsyncioTransport",
     "LATENCY_KINDS",
@@ -99,28 +112,12 @@ class ProtocolResult:
         return [record.cumulative_weight for record in self.mini_rounds]
 
 
-class _DictWeights:
-    """Sparse weight vector backed by a dict (0.0 outside the dict).
-
-    ``solve_local_mwis`` indexes weights by global vertex id; building a full
-    dense list per leader would be wasteful, so this adapter provides the
-    minimal sequence protocol the solver needs.
-    """
-
-    def __init__(self, values: Dict[int, float], length: int) -> None:
-        self._values = values
-        self._length = length
-
-    def __getitem__(self, vertex: int) -> float:
-        return self._values.get(vertex, 0.0)
-
-    def __len__(self) -> int:
-        return self._length
-
-
 class VertexProtocol:
     """The per-vertex state machine of Algorithm 3.
 
+    One object holds everything a vertex knows: its own status and the last
+    known weights and statuses of its (2r+1)-hop neighbourhood, updated only
+    through delivered messages (never by reading another vertex's state).
     Each phase method either broadcasts a typed message through the transport
     and returns it, or returns ``None`` when the vertex has nothing to say in
     that phase; :meth:`receive` folds delivered messages into local
@@ -141,7 +138,9 @@ class VertexProtocol:
         Adjacency sets of ``H`` (read-only; used for the local MWIS and the
         Winner-neighbour Loser rule).
     hood_r, hood_r1, hood_2r1:
-        This vertex's r-, (r+1)- and (2r+1)-hop neighbourhoods.
+        This vertex's r-, (r+1)- and (2r+1)-hop neighbourhoods.  The r-hop
+        set is the local-MWIS domain and the (2r+1)-hop set the knowledge
+        horizon; both must contain the vertex itself.
     local_solver:
         Solver for the local MWIS instances; ``None`` means exact enumeration.
     """
@@ -158,15 +157,113 @@ class VertexProtocol:
         local_solver: Optional[MWISSolver] = None,
     ) -> None:
         self.vertex = vertex
-        self.agent = VertexAgent(vertex, neighborhood_2r1=hood_2r1, neighborhood_r=hood_r)
+        self.neighborhood_2r1: Set[int] = set(hood_2r1)
+        self.neighborhood_r: Set[int] = set(hood_r)
+        if vertex not in self.neighborhood_2r1 or vertex not in self.neighborhood_r:
+            raise ValueError("neighbourhoods must contain the vertex itself")
+        #: Current protocol status of this vertex.
+        self.status = VertexStatus.CANDIDATE
+        #: Last known weights of the (2r+1)-hop neighbourhood (self included).
+        self.known_weights: Dict[int, float] = {}
+        #: Last known statuses of the (2r+1)-hop neighbourhood (self included).
+        self.known_statuses: Dict[int, VertexStatus] = {
+            u: VertexStatus.CANDIDATE for u in self.neighborhood_2r1
+        }
         self._transport = transport
         self._r = r
         self._adjacency = adjacency
         self._hood_r1 = hood_r1
         self._local_solver = local_solver
-        #: ``|A_r(v)|`` of the most recent :meth:`determine_statuses` call
-        #: (computation-cost accounting).
+        #: ``|A_r(v)|`` of the most recent determination (computation-cost
+        #: accounting).
         self.last_candidate_set_size = 0
+
+    # ------------------------------------------------------------------
+    # Knowledge updates (driven by received messages)
+    # ------------------------------------------------------------------
+    def observe_weight(self, vertex: int, weight: float) -> None:
+        """Record a weight announcement for a vertex in the knowledge horizon.
+
+        Announcements from outside the (2r+1)-hop neighbourhood are ignored,
+        mirroring the fact that such messages would never reach this vertex
+        in the real protocol.
+        """
+        if vertex in self.neighborhood_2r1:
+            self.known_weights[vertex] = float(weight)
+
+    def observe_status(self, vertex: int, status: VertexStatus) -> None:
+        """Record a status determination for a vertex in the knowledge horizon.
+
+        Terminal statuses are never downgraded: once a vertex is known to be
+        a Winner or Loser it stays that way.
+        """
+        if vertex not in self.neighborhood_2r1:
+            return
+        current = self.known_statuses.get(vertex, VertexStatus.CANDIDATE)
+        if current.is_decided:
+            return
+        self.known_statuses[vertex] = status
+
+    def mark(self, status: VertexStatus) -> None:
+        """Set this vertex's own status (and mirror it into local knowledge)."""
+        if self.status.is_decided and status != self.status:
+            raise ValueError(
+                f"vertex {self.vertex} already decided as {self.status.value}; "
+                f"cannot re-mark as {status.value}"
+            )
+        self.status = status
+        self.known_statuses[self.vertex] = status
+
+    # ------------------------------------------------------------------
+    # Queries used by Algorithm 3
+    # ------------------------------------------------------------------
+    def own_weight(self) -> float:
+        """The weight this vertex currently announces for itself."""
+        return self.known_weights.get(self.vertex, 0.0)
+
+    def candidate_neighbors(self, exclude: AbstractSet[int] = frozenset()) -> Set[int]:
+        """(2r+1)-hop neighbours still believed to be Candidates, *excluding*
+        this vertex and the vertices in ``exclude``."""
+        candidates = {
+            u
+            for u in self.neighborhood_2r1
+            if u != self.vertex
+            and not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
+        }
+        if exclude:
+            candidates -= exclude
+        return candidates
+
+    def candidate_set_r(self, exclude: AbstractSet[int] = frozenset()) -> Set[int]:
+        """``A_r(v)``: Candidate vertices (including self) in the r-hop
+        neighbourhood, according to local knowledge, minus ``exclude``."""
+        candidates = {
+            u
+            for u in self.neighborhood_r
+            if not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
+        }
+        if exclude:
+            candidates -= exclude
+        candidates.add(self.vertex)
+        return candidates
+
+    def is_local_maximum(self, exclude: AbstractSet[int] = frozenset()) -> bool:
+        """Line 3 of Algorithm 3: is this vertex the maximum-weight Candidate
+        of its (2r+1)-hop neighbourhood (ignoring ``exclude``)?
+
+        Ties are broken by vertex id (smaller id wins) so that the election is
+        a strict total order even with equal weights — without this, two
+        adjacent equal-weight vertices could both become leaders and the
+        output could lose independence.
+        """
+        if self.status != VertexStatus.CANDIDATE:
+            return False
+        known = self.known_weights
+        own = (known.get(self.vertex, 0.0), -self.vertex)
+        for other in self.candidate_neighbors(exclude):
+            if (known.get(other, 0.0), -other) > own:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Knowledge seeding and WB phase
@@ -179,14 +276,14 @@ class VertexProtocol:
         the WB phase then re-announces (and charges for) refreshed entries.
         """
         for neighbor, weight in weights.items():
-            self.agent.observe_weight(neighbor, float(weight))
+            self.observe_weight(neighbor, float(weight))
 
-    def announce_weight(self) -> WeightBroadcast:
+    def announce_weight(self) -> Optional[WeightBroadcast]:
         """WB phase: broadcast this vertex's current weight within 2r+1 hops."""
         message = WeightBroadcast(
             sender=self.vertex,
             hop_limit=2 * self._r + 1,
-            weight=self.agent.own_weight(),
+            weight=self.own_weight(),
         )
         self._transport.broadcast(message, phase="WB")
         return message
@@ -194,28 +291,59 @@ class VertexProtocol:
     # ------------------------------------------------------------------
     # Mini-round phases
     # ------------------------------------------------------------------
-    def begin_mini_round(self, mini_round: int) -> Optional[LeaderDeclaration]:
-        """LS + LD: declare LocalLeader when locally maximum among Candidates."""
-        agent = self.agent
-        if agent.status != VertexStatus.CANDIDATE:
+    def begin_mini_round(
+        self, mini_round: int, exclude: AbstractSet[int] = frozenset()
+    ) -> Optional[LeaderDeclaration]:
+        """LS + LD: declare LocalLeader when locally maximum among Candidates.
+
+        ``exclude`` names vertices the election ignores; it is empty on the
+        honest path.
+        """
+        if self.status != VertexStatus.CANDIDATE:
             return None
-        if not agent.is_local_maximum(agent.known_weights):
+        if not self.is_local_maximum(exclude):
             return None
-        agent.mark(VertexStatus.LOCAL_LEADER)
+        self.mark(VertexStatus.LOCAL_LEADER)
         message = LeaderDeclaration(
             sender=self.vertex,
             hop_limit=2 * self._r + 1,
-            weight=agent.own_weight(),
+            weight=self.own_weight(),
             mini_round=mini_round,
         )
         self._transport.broadcast(message, phase="LD")
         return message
 
-    def determine_statuses(self, mini_round: int) -> Optional[StatusDetermination]:
+    def determine_statuses(
+        self, mini_round: int, exclude: AbstractSet[int] = frozenset()
+    ) -> Optional[StatusDetermination]:
         """LMWIS + LB: as a LocalLeader, decide the r-hop candidate set.
 
-        Solves MWIS over ``A_r(v)``; the members become Winners and the
-        remaining candidates of ``A_r(v)`` *plus every still-Candidate
+        Solves MWIS over ``A_r(v)`` minus ``exclude`` (empty on the honest
+        path, so excluded vertices never receive Winner slots); the members
+        become Winners and everything else is decided by :meth:`_decide`.
+        """
+        if self.status != VertexStatus.LOCAL_LEADER:
+            return None
+        candidate_set = self.candidate_set_r(exclude)
+        local_weights = {
+            vertex: self.known_weights.get(vertex, 0.0) for vertex in candidate_set
+        }
+        solution = solve_local_mwis(
+            self._adjacency, local_weights, candidate_set, solver=self._local_solver
+        )
+        winners = set(solution.vertices)
+        if not winners:
+            # All candidate weights were non-positive (e.g. the all-zero
+            # first round); the leader itself is a valid singleton IS.
+            winners = {self.vertex}
+        return self._decide(winners, candidate_set, mini_round)
+
+    def _decide(
+        self, winners: Set[int], candidate_set: Set[int], mini_round: int
+    ) -> StatusDetermination:
+        """LB: broadcast ``winners`` as Winners and their losers as Losers.
+
+        The remaining candidates of ``A_r(v)`` *plus every still-Candidate
         neighbour of a new Winner* become Losers (the distributed counterpart
         of the centralized PTAS deleting "the MWIS and all adjacent
         vertices", which keeps Winners of different mini-rounds mutually
@@ -223,24 +351,6 @@ class VertexProtocol:
         applied to this vertex's own state immediately (the leader does not
         hear its own broadcast).
         """
-        agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
-            return None
-        candidate_set = agent.candidate_set_r()
-        local_weights = {
-            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
-        }
-        solution = solve_local_mwis(
-            self._adjacency,
-            _DictWeights(local_weights, len(self._adjacency)),
-            candidate_set,
-            solver=self._local_solver,
-        )
-        winners = set(solution.vertices)
-        if not winners:
-            # All candidate weights were non-positive (e.g. the all-zero
-            # first round); the leader itself is a valid singleton IS.
-            winners = {self.vertex}
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
@@ -248,9 +358,7 @@ class VertexProtocol:
             vertex
             for vertex in winner_neighbors
             if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
+            and not self.known_statuses.get(vertex, VertexStatus.CANDIDATE).is_decided
         }
         losers = removal - winners
         self.last_candidate_set_size = len(candidate_set)
@@ -266,8 +374,8 @@ class VertexProtocol:
         for vertex, is_winner in decisions.items():
             status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
             if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
+                self.mark(status)
+            self.observe_status(vertex, status)
         return message
 
     # ------------------------------------------------------------------
@@ -282,24 +390,60 @@ class VertexProtocol:
         Leader declarations need no handler: elections are decided from the
         weight knowledge, the declaration itself is informational.
         """
-        agent = self.agent
         if isinstance(message, StatusDetermination):
             for vertex, is_winner in message.decisions.items():
                 status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-                if vertex == agent.vertex and not agent.status.is_decided:
-                    agent.mark(status)
+                if vertex == self.vertex and not self.status.is_decided:
+                    self.mark(status)
                 else:
-                    agent.observe_status(vertex, status)
+                    self.observe_status(vertex, status)
         elif isinstance(message, WeightBroadcast):
-            agent.observe_weight(message.sender, message.weight)
-
-    @property
-    def status(self) -> VertexStatus:
-        """Current protocol status of this vertex."""
-        return self.agent.status
+            self.observe_weight(message.sender, message.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"VertexProtocol(vertex={self.vertex}, status={self.status.value})"
+
+
+class ProtocolHooks:
+    """The points at which a run may change how :class:`ProtocolEngine`
+    drives Algorithm 3.
+
+    The defaults are the honest protocol.  Fault injection
+    (:class:`repro.faults.runtime.FaultController`) overrides them, so one
+    mini-round loop serves both.
+    """
+
+    #: Phases the cost report lists mini-timeslots for.  Listing ``"QR"``
+    #: adds an accusation phase (:meth:`accuse`) after every delivery barrier.
+    phases: Tuple[str, ...] = ("WB", "LD", "LB")
+
+    def machine(self, *args, **kwargs) -> VertexProtocol:
+        """Build one vertex's state machine (the :class:`VertexProtocol` arguments)."""
+        return VertexProtocol(*args, **kwargs)
+
+    def set_clock(self, mini_round: int, phase: str) -> None:
+        """Called as each phase begins; WB is mini-round 0."""
+
+    def live(self, vertices: List[VertexProtocol]) -> Iterable[VertexProtocol]:
+        """The vertices whose Candidates keep the loop running and which must
+        all decide for the run to converge."""
+        return vertices
+
+    def accuse(self, vertices: List[VertexProtocol], mini_round: int) -> int:
+        """QR phase: broadcast queued accusations; returns how many were sent."""
+        return 0
+
+    def end_mini_round(self, vertices: List[VertexProtocol]) -> None:
+        """Called after the last delivery barrier of every mini-round."""
+
+    def final_winners(
+        self, vertices: List[VertexProtocol], winners: Set[int]
+    ) -> Set[int]:
+        """The output set, given the union of every determination's Winners."""
+        return winners
+
+
+_HONEST = ProtocolHooks()
 
 
 class ProtocolEngine:
@@ -308,7 +452,8 @@ class ProtocolEngine:
     The engine owns nothing protocol-specific beyond the phase barriers: it
     asks every vertex to act, lets the transport deliver, and records what
     the broadcast decisions said.  All state transitions happen inside the
-    vertex machines.
+    vertex machines.  Its loop is the only mini-round loop of the package;
+    fault injection changes it through :class:`ProtocolHooks`.
 
     Parameters mirror :class:`~repro.distributed.ptas.DistributedRobustPTAS`
     (which delegates here); the four neighbourhood tables must already be
@@ -339,7 +484,28 @@ class ProtocolEngine:
         broadcasting_vertices: Optional[Iterable[int]] = None,
         hard_limit: Optional[int] = None,
     ) -> ProtocolResult:
-        """Execute one full strategy decision over ``transport``."""
+        """Execute one full strategy decision over ``transport``.
+
+        Raises :class:`RuntimeError` when a lossless transport yields a
+        dependent set: the honest protocol cannot, so that is a bug.
+        """
+        result = self._run(transport, weights, broadcasting_vertices, hard_limit, _HONEST)
+        if not result.independent and transport.is_lossless:
+            raise RuntimeError(
+                "distributed PTAS produced a dependent vertex set on a "
+                "lossless transport; this is a bug"
+            )
+        return result
+
+    def _run(
+        self,
+        transport: Transport,
+        weights: Sequence[float],
+        broadcasting_vertices: Optional[Iterable[int]],
+        hard_limit: Optional[int],
+        hooks: ProtocolHooks,
+    ) -> ProtocolResult:
+        """The traced mini-round loop, with ``hooks`` at its extension points."""
         if transport.num_vertices != self._num_vertices:
             raise ValueError(
                 f"transport connects {transport.num_vertices} vertices but the "
@@ -355,7 +521,7 @@ class ProtocolEngine:
             "protocol.run", num_vertices=self._num_vertices, r=self._r
         ) as run_span:
             result = self._execute(
-                transport, weights, broadcasting_vertices, hard_limit, obs
+                transport, weights, broadcasting_vertices, hard_limit, obs, hooks
             )
             run_span.set_attrs(
                 mini_rounds=result.num_mini_rounds, converged=result.converged
@@ -374,9 +540,10 @@ class ProtocolEngine:
         broadcasting_vertices: Optional[Iterable[int]],
         hard_limit: int,
         obs,
+        hooks: ProtocolHooks,
     ) -> ProtocolResult:
         vertices = [
-            VertexProtocol(
+            hooks.machine(
                 vertex,
                 transport,
                 self._r,
@@ -401,6 +568,7 @@ class ProtocolEngine:
             broadcasters: Iterable[int] = range(self._num_vertices)
         else:
             broadcasters = sorted(set(broadcasting_vertices))
+        hooks.set_clock(0, "WB")
         with obs.span("protocol.phase", phase="WB"):
             for sender in broadcasters:
                 if not (0 <= sender < self._num_vertices):
@@ -410,6 +578,7 @@ class ProtocolEngine:
                     )
                 vertices[sender].announce_weight()
             self._deliver(transport, vertices)
+        self._qr_phase(transport, vertices, hooks, 0, obs)
 
         records: List[MiniRoundRecord] = []
         winners: Set[int] = set()
@@ -418,21 +587,25 @@ class ProtocolEngine:
 
         for mini_round in range(1, hard_limit + 1):
             if not any(
-                vertex.status == VertexStatus.CANDIDATE for vertex in vertices
+                vertex.status == VertexStatus.CANDIDATE for vertex in hooks.live(vertices)
             ):
                 break
             with obs.span("protocol.mini_round", mini_round=mini_round) as round_span:
+                hooks.set_clock(mini_round, "LD")
                 with obs.span("protocol.phase", phase="LD"):
                     leaders = [
                         vertex.vertex
                         for vertex in vertices
                         if vertex.begin_mini_round(mini_round) is not None
                     ]
+                hooks.set_clock(mini_round, "LB")
                 new_winners: Set[int] = set()
                 new_losers: Set[int] = set()
                 with obs.span("protocol.phase", phase="LB"):
                     for leader in leaders:
                         determination = vertices[leader].determine_statuses(mini_round)
+                        if determination is None:
+                            continue  # the leader crashed between LD and LB
                         computation.local_mwis_calls += 1
                         computation.candidate_set_sizes.append(
                             vertices[leader].last_candidate_set_size
@@ -440,6 +613,8 @@ class ProtocolEngine:
                         for vertex, is_winner in determination.decisions.items():
                             (new_winners if is_winner else new_losers).add(vertex)
                     self._deliver(transport, vertices)
+                self._qr_phase(transport, vertices, hooks, mini_round, obs)
+                hooks.end_mini_round(vertices)
                 round_span.set_attrs(
                     leaders=len(leaders),
                     new_winners=len(new_winners),
@@ -464,35 +639,42 @@ class ProtocolEngine:
             if remaining == 0:
                 break
 
-        independent = is_independent(self._adjacency, winners)
-        if not independent and transport.is_lossless:
-            raise RuntimeError(
-                "distributed PTAS produced a dependent vertex set on a "
-                "lossless transport; this is a bug"
-            )
-        converged = all(vertex.status.is_decided for vertex in vertices)
+        # Each mode keeps its own winner-set construction: the output weight
+        # is summed in set iteration order (see docs/architecture.md).
+        final_winners = hooks.final_winners(vertices, winners)
         costs = RoundCosts(
             communication=CommunicationCosts(
                 messages_per_vertex=transport.messages_sent(),
                 total_deliveries=transport.total_deliveries,
                 mini_timeslots_per_phase={
-                    phase: transport.mini_timeslots(phase)
-                    for phase in ("WB", "LD", "LB")
+                    phase: transport.mini_timeslots(phase) for phase in hooks.phases
                 },
             ),
             computation=computation,
-            stored_weights_per_vertex=[
-                len(vertex.agent.known_weights) for vertex in vertices
-            ],
+            stored_weights_per_vertex=[len(vertex.known_weights) for vertex in vertices],
         )
-        independent_set = IndependentSet.from_iterable(winners, weights)
         return ProtocolResult(
-            independent_set=independent_set,
+            independent_set=IndependentSet.from_iterable(final_winners, weights),
             mini_rounds=records,
             costs=costs,
-            converged=converged,
-            independent=independent,
+            converged=all(vertex.status.is_decided for vertex in hooks.live(vertices)),
+            independent=is_independent(self._adjacency, final_winners),
         )
+
+    def _qr_phase(
+        self,
+        transport: Transport,
+        vertices: List[VertexProtocol],
+        hooks: ProtocolHooks,
+        mini_round: int,
+        obs,
+    ) -> None:
+        """QR phase after a delivery barrier, for hooks that list one."""
+        if "QR" not in hooks.phases:
+            return
+        with obs.span("protocol.phase", phase="QR"):
+            if hooks.accuse(vertices, mini_round):
+                self._deliver(transport, vertices)
 
     @staticmethod
     def _deliver(transport: Transport, vertices: List[VertexProtocol]) -> None:
@@ -787,7 +969,7 @@ class AsyncioTransport(Transport):
     def broadcast(self, message: Message, phase: str) -> int:
         """Encode ``message`` onto the sender's up-link and route it.
 
-        Counter semantics mirror :class:`MessageNetwork`: one originated
+        Counter semantics mirror the simulated transport: one originated
         message, ``max(1, hop_limit)`` mini-timeslots, one delivery per
         recipient — except that dropped (message, recipient) pairs are *not*
         counted as deliveries (they never happened on this transport).
@@ -863,7 +1045,7 @@ class AsyncioTransport(Transport):
         and one ``net_delivered_<tag>`` counter per delivered message type.
         Lossy and faulty runs surface this into the JSON envelope so they
         are diagnosable without re-running.  The schema is shared with
-        :meth:`repro.distributed.network.MessageNetwork.telemetry_summary`.
+        :meth:`repro.distributed.transport.SimulatedTransport.telemetry_summary`.
         """
         return self._telemetry.summary()
 

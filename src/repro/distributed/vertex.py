@@ -8,19 +8,15 @@ Algorithm 3 of the paper gives every virtual vertex one of four statuses:
 * ``WINNER`` -- included in the final independent set (will access a channel);
 * ``LOSER`` -- permanently excluded.
 
-Every vertex also maintains *local knowledge*: the estimated weights and last
-known statuses of the vertices in its (2r+1)-hop neighbourhood, updated only
-through received control messages.  Keeping the knowledge local (instead of
-reading global state) is what makes the simulation faithful to a distributed
-implementation.
+The state machine that carries a status, together with the vertex's local
+knowledge, is :class:`repro.distributed.runtime.VertexProtocol`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Set
 
-__all__ = ["VertexStatus", "VertexAgent"]
+__all__ = ["VertexStatus"]
 
 
 class VertexStatus(enum.Enum):
@@ -35,147 +31,3 @@ class VertexStatus(enum.Enum):
     def is_decided(self) -> bool:
         """``True`` for terminal statuses (Winner or Loser)."""
         return self in (VertexStatus.WINNER, VertexStatus.LOSER)
-
-
-class VertexAgent:
-    """Protocol state machine of a single virtual vertex.
-
-    Parameters
-    ----------
-    vertex:
-        The vertex id in the extended conflict graph ``H``.
-    neighborhood_2r1:
-        The (2r+1)-hop neighbourhood of the vertex (its knowledge horizon for
-        LocalLeader election).
-    neighborhood_r:
-        The r-hop neighbourhood (the set a LocalLeader computes its local
-        MWIS over).
-    """
-
-    def __init__(
-        self,
-        vertex: int,
-        neighborhood_2r1: Iterable[int],
-        neighborhood_r: Iterable[int],
-    ) -> None:
-        self.vertex = vertex
-        self.neighborhood_2r1: Set[int] = set(neighborhood_2r1)
-        self.neighborhood_r: Set[int] = set(neighborhood_r)
-        if vertex not in self.neighborhood_2r1 or vertex not in self.neighborhood_r:
-            raise ValueError("neighbourhoods must contain the vertex itself")
-        self.status = VertexStatus.CANDIDATE
-        #: Last known weights of the (2r+1)-hop neighbourhood (self included).
-        self.known_weights: Dict[int, float] = {}
-        #: Last known statuses of the (2r+1)-hop neighbourhood (self included).
-        self.known_statuses: Dict[int, VertexStatus] = {
-            u: VertexStatus.CANDIDATE for u in self.neighborhood_2r1
-        }
-
-    # ------------------------------------------------------------------
-    # Knowledge updates (driven by received messages)
-    # ------------------------------------------------------------------
-    def observe_weight(self, vertex: int, weight: float) -> None:
-        """Record a weight announcement for a vertex in the knowledge horizon.
-
-        Announcements from outside the (2r+1)-hop neighbourhood are ignored,
-        mirroring the fact that such messages would never reach this vertex
-        in the real protocol.
-        """
-        if vertex in self.neighborhood_2r1:
-            self.known_weights[vertex] = float(weight)
-
-    def observe_status(self, vertex: int, status: VertexStatus) -> None:
-        """Record a status determination for a vertex in the knowledge horizon.
-
-        Terminal statuses are never downgraded: once a vertex is known to be
-        a Winner or Loser it stays that way.
-        """
-        if vertex not in self.neighborhood_2r1:
-            return
-        current = self.known_statuses.get(vertex, VertexStatus.CANDIDATE)
-        if current.is_decided:
-            return
-        self.known_statuses[vertex] = status
-
-    def mark(self, status: VertexStatus) -> None:
-        """Set this vertex's own status (and mirror it into local knowledge)."""
-        if self.status.is_decided and status != self.status:
-            raise ValueError(
-                f"vertex {self.vertex} already decided as {self.status.value}; "
-                f"cannot re-mark as {status.value}"
-            )
-        self.status = status
-        self.known_statuses[self.vertex] = status
-
-    # ------------------------------------------------------------------
-    # Queries used by Algorithm 3
-    # ------------------------------------------------------------------
-    def own_weight(self) -> float:
-        """The weight this vertex currently announces for itself."""
-        return self.known_weights.get(self.vertex, 0.0)
-
-    def candidate_neighbors(
-        self,
-        hop_set: Optional[Set[int]] = None,
-        exclude: Optional[Set[int]] = None,
-    ) -> Set[int]:
-        """Vertices of ``hop_set`` (default: the (2r+1)-hop neighbourhood)
-        still believed to be Candidates, *excluding* this vertex.
-
-        ``exclude`` drops additional vertices from the result; fault-mitigation
-        runs pass the set of suspected-crashed / evidence-excluded vertices so
-        the election stops waiting on them.  ``None`` (the default) keeps the
-        honest-path behaviour bit for bit.
-        """
-        horizon = hop_set if hop_set is not None else self.neighborhood_2r1
-        candidates = {
-            u
-            for u in horizon
-            if u != self.vertex
-            and not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
-        }
-        if exclude:
-            candidates -= exclude
-        return candidates
-
-    def candidate_set_r(self, exclude: Optional[Set[int]] = None) -> Set[int]:
-        """``A_r(v)``: Candidate vertices (including self) in the r-hop
-        neighbourhood, according to local knowledge.
-
-        ``exclude`` removes vertices (other than self) from the set, used by
-        fault-mitigation runs so excluded senders never receive Winner slots.
-        """
-        candidates = {
-            u
-            for u in self.neighborhood_r
-            if not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
-        }
-        if exclude:
-            candidates -= exclude
-        candidates.add(self.vertex)
-        return candidates
-
-    def is_local_maximum(
-        self,
-        weights: Mapping[int, float],
-        exclude: Optional[Set[int]] = None,
-    ) -> bool:
-        """Line 3 of Algorithm 3: is this vertex the maximum-weight Candidate
-        of its (2r+1)-hop neighbourhood?
-
-        Ties are broken by vertex id (smaller id wins) so that the election is
-        a strict total order even with equal weights — without this, two
-        adjacent equal-weight vertices could both become leaders and the
-        output could lose independence.
-        """
-        if self.status != VertexStatus.CANDIDATE:
-            return False
-        own = (weights.get(self.vertex, self.own_weight()), -self.vertex)
-        for other in self.candidate_neighbors(exclude=exclude):
-            other_key = (weights.get(other, self.known_weights.get(other, 0.0)), -other)
-            if other_key > own:
-                return False
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"VertexAgent(vertex={self.vertex}, status={self.status.value})"

@@ -20,13 +20,15 @@
   outside the evidence horizon), and suspect silent blockers after the
   Algorithm-Two termination bound instead of waiting on dead neighbours.
 
-:class:`FaultInjectionEngine` mirrors the synchronous driver of
-:class:`~repro.distributed.runtime.ProtocolEngine` — same phase barriers,
-same cost accounting — plus a fault clock, an accusation (QR) phase and the
-fault metrics summarized in :class:`FaultReport`.  It is deliberately a
-separate driver: the honest engine stays byte-identical, and a faulty run
-on a lossless transport is *expected* to lose independence or convergence,
-which the honest engine treats as a bug.
+The subclass only adds these fault gates; the LD and LB decision rules are
+the honest ones.  :class:`FaultInjectionEngine` runs the one mini-round loop
+of :class:`~repro.distributed.runtime.ProtocolEngine`, with a per-run
+:class:`FaultController` as its hooks: a fault clock, an accusation (QR)
+phase, honest-only termination and convergence, and the fault metrics
+summarized in :class:`FaultReport`.  A faulty run on a lossless transport
+is *expected* to be able to lose independence or convergence, which the
+honest :meth:`~repro.distributed.runtime.ProtocolEngine.run` treats as a
+bug, so the engine records the violation instead of raising.
 
 All fault behaviour is deterministic given the plan (no runtime randomness),
 so the transport-equivalence contract extends to fault runs: a lossless
@@ -35,10 +37,19 @@ in-order asyncio run is bit-identical to the simulated oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.distributed.costs import CommunicationCosts, ComputationCosts, RoundCosts
 from repro.distributed.messages import (
     Accusation,
     LeaderDeclaration,
@@ -47,17 +58,16 @@ from repro.distributed.messages import (
     WeightBroadcast,
 )
 from repro.distributed.runtime import (
-    MiniRoundRecord,
+    ProtocolEngine,
+    ProtocolHooks,
     ProtocolResult,
     VertexProtocol,
-    _DictWeights,
 )
 from repro.distributed.transport import Transport
 from repro.distributed.vertex import VertexStatus
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CRASH_PHASES, FaultPlan
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
-from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
-from repro.mwis.local import solve_local_mwis
+from repro.mwis.base import Adjacency, MWISSolver
 from repro.obs import current_observer
 
 __all__ = [
@@ -67,19 +77,22 @@ __all__ = [
     "FaultInjectionEngine",
 ]
 
-#: Total order of the phases a fault clock can point at.
-_PHASE_WB, _PHASE_LD, _PHASE_LB = 0, 1, 2
 
+class FaultController(ProtocolHooks):
+    """The fault state of one protocol run, and its hooks on the engine loop.
 
-class FaultController:
-    """Shared, read-only fault state of one protocol run.
+    Owns the plan, the fault clock the engine advances at every phase
+    boundary, and the deterministic fake weights Byzantine vertices
+    announce.  A fake weight is ``1.5 * sum(true (2r+1)-hop weights) + 1.0``
+    — strictly above everything the vertex could legitimately see, so the
+    lie wins every election it reaches, and a pure function of the primed
+    truth, so both transports (and both ends of the wire codec) see the
+    identical float.
 
-    Owns the plan, the fault clock the engine advances, and the deterministic
-    fake weights Byzantine vertices announce.  A fake weight is
-    ``1.5 * max(true (2r+1)-hop weight) + 1.0`` — strictly above everything
-    the vertex could legitimately see, so the lie wins every election it
-    reaches, and a pure function of the primed truth, so both transports
-    (and both ends of the wire codec) see the identical float.
+    As :class:`~repro.distributed.runtime.ProtocolHooks` it builds
+    :class:`FaultyVertexProtocol` machines, runs a QR phase in mitigation
+    runs, counts only alive honest vertices for termination and
+    convergence, and voids the wins of quorum-excluded vertices.
     """
 
     def __init__(
@@ -95,9 +108,20 @@ class FaultController:
         self.adjacency = adjacency
         self.hood_2r1 = hood_2r1
         self.quorum = quorum
-        #: Fault clock: (mini_round, phase index), advanced by the engine.
-        self.clock: Tuple[int, int] = (0, _PHASE_WB)
+        if quorum is not None:
+            self.phases = ("WB", "LD", "LB", "QR")
+        #: Fault clock: (mini_round, index in CRASH_PHASES), set by the engine.
+        self.clock: Tuple[int, int] = (0, 0)
         self._fake_weights: Dict[int, float] = {}
+        # The run's outcome, recorded for the fault report.  The controller
+        # keeps no reference to the vertex machines (they reference it), so
+        # a finished run is freed without waiting for the cycle collector.
+        self.accusations_sent = 0
+        self.claimed_winners: Set[int] = set()
+        self.quorum_rejected: Set[int] = set()
+        self.excluded: Set[int] = set()
+        self.suspected: Set[int] = set()
+        self.undecided_honest = 0
 
     def is_crashed(self, vertex: int) -> bool:
         """Has ``vertex``'s scheduled crash time passed on the fault clock?"""
@@ -123,9 +147,74 @@ class FaultController:
             self._fake_weights[vertex] = cached
         return cached
 
+    # ------------------------------------------------------------------
+    # Engine hooks
+    # ------------------------------------------------------------------
+    def machine(self, *args, **kwargs) -> FaultyVertexProtocol:
+        return FaultyVertexProtocol(*args, controller=self, **kwargs)
+
+    def set_clock(self, mini_round: int, phase: str) -> None:
+        self.clock = (mini_round, CRASH_PHASES.index(phase))
+
+    def live(self, vertices: List[FaultyVertexProtocol]) -> Iterator[FaultyVertexProtocol]:
+        """Alive honest vertices: crashed and Byzantine ones never block."""
+        return (
+            vertex
+            for vertex in vertices
+            if vertex.behavior is None and not self.is_crashed(vertex.vertex)
+        )
+
+    def accuse(self, vertices: List[FaultyVertexProtocol], mini_round: int) -> int:
+        # Evidence found at a barrier spreads before the next election (at
+        # mini-round 0, before the first), so out-of-horizon vertices can
+        # already reject the liar's next LB.
+        sent = sum(vertex.flush_accusations(mini_round) for vertex in vertices)
+        self.accusations_sent += sent
+        return sent
+
+    def end_mini_round(self, vertices: List[FaultyVertexProtocol]) -> None:
+        for vertex in vertices:
+            vertex.end_mini_round()
+
+    def final_winners(
+        self, vertices: List[FaultyVertexProtocol], winners: Set[int]
+    ) -> Set[int]:
+        """Every vertex that ends with Winner status, minus the ones a quorum
+        of honest vertices excluded (their claimed wins are void).
+
+        Also records the rest of the run's outcome for the fault report.
+        """
+        self.claimed_winners = {
+            vertex.vertex for vertex in vertices if vertex.status == VertexStatus.WINNER
+        }
+        self.undecided_honest = sum(
+            1 for vertex in self.live(vertices) if not vertex.status.is_decided
+        )
+        votes: Dict[int, int] = {}
+        for vertex in vertices:
+            state = vertex.quorum_state
+            if state is None:
+                continue
+            self.excluded |= state.excluded
+            self.suspected |= state.suspected
+            for accused in state.excluded:
+                votes[accused] = votes.get(accused, 0) + 1
+        if self.quorum is not None:
+            self.quorum_rejected = {
+                accused
+                for accused, count in votes.items()
+                if count >= self.quorum.threshold
+            }
+        return self.claimed_winners - self.quorum_rejected
+
 
 class FaultyVertexProtocol(VertexProtocol):
-    """A :class:`VertexProtocol` whose behaviour a fault plan can corrupt."""
+    """A :class:`VertexProtocol` whose behaviour a fault plan can corrupt.
+
+    It adds only the fault gates — crash silence, the Byzantine lies and the
+    quorum checks on receive — and runs the honest LD/LB rules, with the
+    vertices its quorum ledger excluded or suspects left out of them.
+    """
 
     def __init__(self, *args, controller: FaultController, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -140,8 +229,15 @@ class FaultyVertexProtocol(VertexProtocol):
             else None
         )
 
+    def _ignored(self, exclude: AbstractSet[int]) -> AbstractSet[int]:
+        """``exclude`` plus every vertex the quorum ledger excluded or suspects."""
+        state = self.quorum_state
+        if state is None:
+            return exclude
+        return exclude | state.excluded | state.suspected
+
     # ------------------------------------------------------------------
-    # WB phase
+    # WB, LD and LMWIS + LB phases
     # ------------------------------------------------------------------
     def announce_weight(self) -> Optional[WeightBroadcast]:
         if self._controller.is_crashed(self.vertex):
@@ -149,105 +245,36 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.behavior is not None:
             # Observe the lie into our own knowledge first, so the base
             # broadcast announces it and our own elections believe it.
-            fake = self._controller.fake_weight(self.vertex, self.agent.known_weights)
-            self.agent.observe_weight(self.vertex, fake)
+            self.observe_weight(
+                self.vertex, self._controller.fake_weight(self.vertex, self.known_weights)
+            )
         return super().announce_weight()
 
-    # ------------------------------------------------------------------
-    # LD phase
-    # ------------------------------------------------------------------
-    def begin_mini_round(self, mini_round: int) -> Optional[LeaderDeclaration]:
+    def begin_mini_round(
+        self, mini_round: int, exclude: AbstractSet[int] = frozenset()
+    ) -> Optional[LeaderDeclaration]:
         if self._controller.is_crashed(self.vertex):
             return None
-        state = self.quorum_state
-        if state is None:
-            return super().begin_mini_round(mini_round)
-        agent = self.agent
-        if agent.status != VertexStatus.CANDIDATE:
-            return None
-        ignore = state.excluded | state.suspected
-        if not agent.is_local_maximum(agent.known_weights, exclude=ignore):
-            return None
-        agent.mark(VertexStatus.LOCAL_LEADER)
-        message = LeaderDeclaration(
-            sender=self.vertex,
-            hop_limit=2 * self._r + 1,
-            weight=agent.own_weight(),
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LD")
-        return message
+        return super().begin_mini_round(mini_round, self._ignored(exclude))
 
-    # ------------------------------------------------------------------
-    # LMWIS + LB phase
-    # ------------------------------------------------------------------
-    def determine_statuses(self, mini_round: int) -> Optional[StatusDetermination]:
+    def determine_statuses(
+        self, mini_round: int, exclude: AbstractSet[int] = frozenset()
+    ) -> Optional[StatusDetermination]:
         if self._controller.is_crashed(self.vertex):
             # The stalled-leader failure: a LocalLeader that declared itself
             # and died before LB leaves its whole ball waiting.
             return None
         if self.behavior in ("winner-usurpation", "conflicting-decisions"):
             return self._corrupt_determination(mini_round)
-        state = self.quorum_state
-        if state is None:
-            return super().determine_statuses(mini_round)
-        agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
-            return None
-        # Same decision rule as the honest path, but excluded / suspected
-        # vertices never receive Winner slots: A_r(v) is filtered before the
-        # local MWIS.  (They can still be Loser-marked as Winner neighbours,
-        # which only confirms their exclusion.)
-        ignore = state.excluded | state.suspected
-        candidate_set = agent.candidate_set_r(exclude=ignore)
-        local_weights = {
-            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
-        }
-        solution = solve_local_mwis(
-            self._adjacency,
-            _DictWeights(local_weights, len(self._adjacency)),
-            candidate_set,
-            solver=self._local_solver,
-        )
-        winners = set(solution.vertices)
-        if not winners:
-            winners = {self.vertex}
-        winner_neighbors: Set[int] = set()
-        for winner in winners:
-            winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
-        }
-        losers = removal - winners
-        self.last_candidate_set_size = len(candidate_set)
-        decisions: Dict[int, bool] = {vertex: True for vertex in winners}
-        decisions.update({vertex: False for vertex in losers})
-        message = StatusDetermination(
-            sender=self.vertex,
-            hop_limit=3 * self._r + 2,
-            decisions=decisions,
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LB")
-        for vertex, is_winner in decisions.items():
-            status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-            if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
-        return message
+        # Excluded / suspected vertices never receive Winner slots.  (They
+        # can still be Loser-marked as Winner neighbours, which only
+        # confirms their exclusion.)
+        return super().determine_statuses(mini_round, self._ignored(exclude))
 
     def _corrupt_determination(self, mini_round: int) -> Optional[StatusDetermination]:
         """Byzantine LB: skip the LMWIS and claim what the behavior dictates."""
-        agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
+        if self.status != VertexStatus.LOCAL_LEADER:
             return None
-        candidate_set = agent.candidate_set_r()
-        self.last_candidate_set_size = len(candidate_set)
         winners: Set[int] = {self.vertex}
         if self.behavior == "conflicting-decisions":
             # Also crown the heaviest adjacent candidate: two adjacent
@@ -255,40 +282,14 @@ class FaultyVertexProtocol(VertexProtocol):
             partner = None
             partner_key = None
             for u in self._adjacency[self.vertex]:
-                if agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
+                if self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
                     continue
-                key = (agent.known_weights.get(u, 0.0), -u)
+                key = (self.known_weights.get(u, 0.0), -u)
                 if partner_key is None or key > partner_key:
                     partner, partner_key = u, key
             if partner is not None:
                 winners.add(partner)
-        winner_neighbors: Set[int] = set()
-        for winner in winners:
-            winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
-        }
-        losers = removal - winners
-        decisions: Dict[int, bool] = {vertex: True for vertex in winners}
-        decisions.update({vertex: False for vertex in losers})
-        message = StatusDetermination(
-            sender=self.vertex,
-            hop_limit=3 * self._r + 2,
-            decisions=decisions,
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LB")
-        for vertex, is_winner in decisions.items():
-            status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-            if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
-        return message
+        return self._decide(winners, self.candidate_set_r(), mini_round)
 
     # ------------------------------------------------------------------
     # QR phase (mitigation only)
@@ -326,15 +327,14 @@ class FaultyVertexProtocol(VertexProtocol):
         state = self.quorum_state
         if state is None or self._controller.is_crashed(self.vertex):
             return
-        if self.agent.status.is_decided:
+        if self.status.is_decided:
             state.heard.clear()
             return
-        agent = self.agent
         tracked = {
             u
-            for u in agent.neighborhood_2r1
+            for u in self.neighborhood_2r1
             if u != self.vertex
-            and not agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
+            and not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
             and u not in state.excluded
         }
         state.end_mini_round(tracked)
@@ -361,7 +361,7 @@ class FaultyVertexProtocol(VertexProtocol):
         if isinstance(message, (WeightBroadcast, LeaderDeclaration)):
             # An honest announcement repeats the primed truth bit for bit,
             # so *any* mismatch against current knowledge is hard evidence.
-            known = self.agent.known_weights.get(sender)
+            known = self.known_weights.get(sender)
             if known is not None and float(message.weight) != known:
                 state.convict(sender, "weight-mismatch")
                 return
@@ -396,18 +396,17 @@ class FaultyVertexProtocol(VertexProtocol):
             for other in winners:
                 if other != winner and other in neighbors:
                     return "dependent-winners"
-        agent = self.agent
         sender = message.sender
-        sender_weight = agent.known_weights.get(sender)
+        sender_weight = self.known_weights.get(sender)
         if sender_weight is not None:
             sender_key = (sender_weight, -sender)
-            shared = self._controller.hood_2r1[sender] & agent.neighborhood_2r1
+            shared = self._controller.hood_2r1[sender] & self.neighborhood_2r1
             for u in shared:
                 if u == sender or u == self.vertex or state.ignores(u):
                     continue
-                if agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
+                if self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
                     continue
-                weight = agent.known_weights.get(u)
+                weight = self.known_weights.get(u)
                 if weight is not None and (weight, -u) > sender_key:
                     return "not-leader"
         return None
@@ -444,14 +443,15 @@ class FaultReport:
     quorum_enabled: bool = False
 
 
-class FaultInjectionEngine:
-    """The fault-mode counterpart of :class:`ProtocolEngine`.
+class FaultInjectionEngine(ProtocolEngine):
+    """:class:`ProtocolEngine` with a fault plan injected through its hooks.
 
-    Same phase barriers and cost accounting, plus: a fault clock gating
-    crashed vertices, a QR (accusation) phase after every delivery barrier
-    in mitigation runs, honest-only convergence accounting, and no
-    lossless-independence assertion (a faulty run is *supposed* to be able
-    to violate it — the violation is data, recorded in the report).
+    The mini-round loop is the honest engine's; a fresh
+    :class:`FaultController` per run gates crashed vertices on the fault
+    clock, adds a QR (accusation) phase after every delivery barrier in
+    mitigation runs, and does honest-only convergence accounting.  There
+    is no lossless-independence assertion (a faulty run is *supposed* to
+    be able to violate it — the violation is data, recorded in the report).
     """
 
     def __init__(
@@ -466,13 +466,7 @@ class FaultInjectionEngine:
         plan: FaultPlan,
         quorum: Optional[QuorumConfig] = None,
     ) -> None:
-        self._adjacency = adjacency
-        self._num_vertices = len(adjacency)
-        self._r = r
-        self._hood_r = hood_r
-        self._hood_r1 = hood_r1
-        self._hood_2r1 = hood_2r1
-        self._local_solver = local_solver
+        super().__init__(adjacency, r, hood_r, hood_r1, hood_2r1, local_solver)
         if plan.max_vertex >= self._num_vertices:
             raise ValueError(
                 f"fault plan names vertex {plan.max_vertex} but the graph "
@@ -496,11 +490,15 @@ class FaultInjectionEngine:
         hard_limit: Optional[int] = None,
     ) -> Tuple[ProtocolResult, FaultReport]:
         """Execute one faulty strategy decision over ``transport``."""
-        if transport.num_vertices != self._num_vertices:
-            raise ValueError(
-                f"transport connects {transport.num_vertices} vertices but the "
-                f"graph has {self._num_vertices}"
-            )
+        if hard_limit is None:
+            hard_limit = self._num_vertices
+            if self._quorum is not None:
+                # Suspicion needs `patience` silent rounds before the stuck
+                # part of the graph can resume; budget for both.
+                hard_limit += self._quorum.patience
+        controller = FaultController(
+            self._plan, self._adjacency, self._hood_2r1, quorum=self._quorum
+        )
         obs = current_observer()
         with obs.span(
             "faults.run",
@@ -508,7 +506,8 @@ class FaultInjectionEngine:
             num_faults=self._plan.num_faults,
             quorum=self._quorum is not None,
         ) as run_span:
-            result, report = self._execute(transport, weights, hard_limit, obs)
+            result = self._run(transport, weights, None, hard_limit, controller)
+            report = self._report(controller, weights)
             run_span.set_attrs(
                 mini_rounds=result.num_mini_rounds,
                 corrupted_winners=report.corrupted_winners,
@@ -526,218 +525,32 @@ class FaultInjectionEngine:
                 obs.count(name, value)
         return result, report
 
-    def _execute(
-        self,
-        transport: Transport,
-        weights: Sequence[float],
-        hard_limit: Optional[int],
-        obs,
-    ) -> Tuple[ProtocolResult, FaultReport]:
-        if hard_limit is None:
-            hard_limit = self._num_vertices
-            if self._quorum is not None:
-                # Suspicion needs `patience` silent rounds before the stuck
-                # part of the graph can resume; budget for both.
-                hard_limit += self._quorum.patience
-        controller = FaultController(
-            self._plan, self._adjacency, self._hood_2r1, quorum=self._quorum
-        )
-        vertices = [
-            FaultyVertexProtocol(
-                vertex,
-                transport,
-                self._r,
-                self._adjacency,
-                hood_r=self._hood_r[vertex],
-                hood_r1=self._hood_r1[vertex],
-                hood_2r1=self._hood_2r1[vertex],
-                local_solver=self._local_solver,
-                controller=controller,
-            )
-            for vertex in range(self._num_vertices)
-        ]
-        for vertex in vertices:
-            vertex.prime(
-                {
-                    neighbor: float(weights[neighbor])
-                    for neighbor in self._hood_2r1[vertex.vertex]
-                }
-            )
-
-        accusations_sent = 0
-
-        def deliver() -> None:
-            for vertex in vertices:
-                for message in transport.collect(vertex.vertex):
-                    vertex.receive(message)
-
-        def qr_phase(mini_round: int) -> None:
-            nonlocal accusations_sent
-            if self._quorum is None:
-                return
-            sent = sum(vertex.flush_accusations(mini_round) for vertex in vertices)
-            if sent:
-                accusations_sent += sent
-                deliver()
-
-        # WB phase (fault clock at round 0).
-        controller.clock = (0, _PHASE_WB)
-        for vertex in vertices:
-            vertex.announce_weight()
-        deliver()
-        # Evidence found at the WB barrier (inflated weights) spreads before
-        # the first election, so out-of-horizon vertices can already reject
-        # the liar's first LB.
-        qr_phase(0)
-
-        def is_alive_honest(vertex: FaultyVertexProtocol) -> bool:
-            return vertex.behavior is None and not controller.is_crashed(
-                vertex.vertex
-            )
-
-        records: List[MiniRoundRecord] = []
-        winners_claimed: Set[int] = set()
-        cumulative_weight = 0.0
-        computation = ComputationCosts()
-
-        for mini_round in range(1, hard_limit + 1):
-            if not any(
-                is_alive_honest(vertex) and vertex.status == VertexStatus.CANDIDATE
-                for vertex in vertices
-            ):
-                break
-            with obs.span("faults.mini_round", mini_round=mini_round):
-                controller.clock = (mini_round, _PHASE_LD)
-                leaders = [
-                    vertex.vertex
-                    for vertex in vertices
-                    if vertex.begin_mini_round(mini_round) is not None
-                ]
-                controller.clock = (mini_round, _PHASE_LB)
-                new_winners: Set[int] = set()
-                new_losers: Set[int] = set()
-                for leader in leaders:
-                    determination = vertices[leader].determine_statuses(mini_round)
-                    if determination is None:
-                        continue  # the leader crashed between LD and LB
-                    computation.local_mwis_calls += 1
-                    computation.candidate_set_sizes.append(
-                        vertices[leader].last_candidate_set_size
-                    )
-                    for vertex, is_winner in determination.decisions.items():
-                        (new_winners if is_winner else new_losers).add(vertex)
-                deliver()
-                qr_phase(mini_round)
-                for vertex in vertices:
-                    vertex.end_mini_round()
-            winners_claimed |= new_winners
-            cumulative_weight += sum(float(weights[v]) for v in new_winners)
-            remaining = sum(
-                1 for vertex in vertices if vertex.status == VertexStatus.CANDIDATE
-            )
-            records.append(
-                MiniRoundRecord(
-                    index=mini_round,
-                    leaders=frozenset(leaders),
-                    new_winners=frozenset(new_winners),
-                    new_losers=frozenset(new_losers),
-                    cumulative_weight=cumulative_weight,
-                    remaining_candidates=remaining,
-                )
-            )
-            computation.mini_rounds = mini_round
-
-        # ------------------------------------------------------------------
-        # Final output and fault accounting
-        # ------------------------------------------------------------------
-        status_winners = {
-            vertex.vertex
-            for vertex in vertices
-            if vertex.status == VertexStatus.WINNER
-        }
-        threshold = self._quorum.threshold if self._quorum is not None else 0
-        quorum_rejected: Set[int] = set()
-        if self._quorum is not None:
-            votes: Dict[int, int] = {}
-            for vertex in vertices:
-                state = vertex.quorum_state
-                if state is None:
-                    continue
-                for accused in state.excluded:
-                    votes[accused] = votes.get(accused, 0) + 1
-            quorum_rejected = {
-                accused
-                for accused, count in votes.items()
-                if count >= threshold
-            }
-        final_winners = status_winners - quorum_rejected
+    def _report(self, controller: FaultController, weights: Sequence[float]) -> FaultReport:
+        """The fault metrics of the run ``controller`` hooked into."""
+        final_winners = controller.claimed_winners - controller.quorum_rejected
         byzantine_set = set(self._plan.byzantine)
         byzantine_winners = final_winners & byzantine_set
-        conflicting: Set[int] = set()
-        for winner in final_winners:
-            if final_winners & self._adjacency[winner]:
-                conflicting.add(winner)
+        conflicting = {
+            winner for winner in final_winners if final_winners & self._adjacency[winner]
+        }
         corrupted = byzantine_winners | conflicting
-        honest_weight = sum(
-            float(weights[v]) for v in final_winners - corrupted
-        )
-        undecided_honest = sum(
-            1
-            for vertex in vertices
-            if is_alive_honest(vertex) and not vertex.status.is_decided
-        )
-        excluded_union: Set[int] = set()
-        suspected_union: Set[int] = set()
-        for vertex in vertices:
-            state = vertex.quorum_state
-            if state is not None:
-                excluded_union |= state.excluded
-                suspected_union |= state.suspected
-
-        independent = is_independent(self._adjacency, final_winners)
-        converged = all(
-            vertex.status.is_decided
-            for vertex in vertices
-            if is_alive_honest(vertex)
-        )
-        phases = ("WB", "LD", "LB", "QR") if self._quorum else ("WB", "LD", "LB")
-        costs = RoundCosts(
-            communication=CommunicationCosts(
-                messages_per_vertex=transport.messages_sent(),
-                total_deliveries=transport.total_deliveries,
-                mini_timeslots_per_phase={
-                    phase: transport.mini_timeslots(phase) for phase in phases
-                },
-            ),
-            computation=computation,
-            stored_weights_per_vertex=[
-                len(vertex.agent.known_weights) for vertex in vertices
-            ],
-        )
-        result = ProtocolResult(
-            independent_set=IndependentSet.from_iterable(final_winners, weights),
-            mini_rounds=records,
-            costs=costs,
-            converged=converged,
-            independent=independent,
-        )
-        report = FaultReport(
+        honest_weight = sum(float(weights[v]) for v in final_winners - corrupted)
+        return FaultReport(
             num_crashed=len(self._plan.crashes),
             num_byzantine=len(byzantine_set),
             fault_fraction=self._plan.num_faults / max(1, self._num_vertices),
-            claimed_winners=len(status_winners),
+            claimed_winners=len(controller.claimed_winners),
             final_winners=len(final_winners),
-            quorum_rejected=len(quorum_rejected),
+            quorum_rejected=len(controller.quorum_rejected),
             byzantine_winners=len(byzantine_winners),
             conflicting_winners=len(conflicting),
             corrupted_winners=len(corrupted),
             corrupted_winner_rate=len(corrupted) / max(1, len(final_winners)),
             honest_winner_weight=honest_weight,
-            undecided_honest=undecided_honest,
-            suspected_crashed=len(suspected_union),
-            excluded_senders=len(excluded_union),
-            accusations_sent=accusations_sent,
+            undecided_honest=controller.undecided_honest,
+            suspected_crashed=len(controller.suspected),
+            excluded_senders=len(controller.excluded),
+            accusations_sent=controller.accusations_sent,
             patience=self._quorum.patience if self._quorum is not None else 0,
             quorum_enabled=self._quorum is not None,
         )
-        return result, report

@@ -12,7 +12,7 @@ The same helper is used by the centralized robust PTAS to evaluate
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Union
 
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver
 from repro.mwis.exact import ExactMWISSolver
@@ -46,7 +46,7 @@ def induced_subgraph(
 
 def solve_local_mwis(
     adjacency: Adjacency,
-    weights: Sequence[float],
+    weights: Union[Sequence[float], Mapping[int, float]],
     candidates: Iterable[int],
     solver: MWISSolver = None,
 ) -> IndependentSet:
@@ -55,7 +55,8 @@ def solve_local_mwis(
     Parameters
     ----------
     adjacency, weights:
-        The full graph and flat weight vector.
+        The full graph, and its weights indexed by vertex id: a flat vector
+        or a mapping that covers at least ``candidates``.
     candidates:
         The vertex subset (e.g. ``A_r(v)``) the solution must be drawn from.
     solver:

@@ -207,3 +207,17 @@ class TestEngineAndVertexProtocol:
 
     def test_vertex_protocol_is_exported(self):
         assert VertexProtocol is not None
+
+    def test_dependent_output_on_a_lossless_transport_raises(self, monkeypatch):
+        # A broken local MWIS that crowns every candidate makes the honest
+        # protocol emit adjacent Winners; on a lossless transport that can
+        # only be a bug, so the honest engine refuses the result.
+        from repro.distributed import runtime
+        from repro.mwis.base import IndependentSet
+
+        def every_candidate(adjacency, weights, candidates, solver=None):
+            return IndependentSet.from_iterable(candidates, weights)
+
+        monkeypatch.setattr(runtime, "solve_local_mwis", every_candidate)
+        with pytest.raises(RuntimeError, match="dependent vertex set"):
+            DistributedRobustPTAS([{1}, {0, 2}, {1}], r=1).run([1.0, 2.0, 1.0])

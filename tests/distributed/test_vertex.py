@@ -1,14 +1,34 @@
-"""Tests for repro.distributed.vertex."""
+"""Per-vertex state of the protocol: the status enum (repro.distributed.vertex)
+and the knowledge, marking and election rules of
+repro.distributed.runtime.VertexProtocol."""
 
 import pytest
 
-from repro.distributed.vertex import VertexAgent, VertexStatus
+from repro.distributed.runtime import VertexProtocol
+from repro.distributed.transport import SimulatedTransport
+from repro.distributed.vertex import VertexStatus
+
+#: Path 0 - 1 - 2 - 3 - 4.
+PATH = [{1}, {0, 2}, {1, 3}, {2, 4}, {3}]
+
+
+def machine(vertex, hood_2r1, hood_r, adjacency=PATH):
+    """A vertex machine over ``adjacency`` with the given horizons (r = 1)."""
+    return VertexProtocol(
+        vertex,
+        SimulatedTransport(adjacency),
+        1,
+        adjacency,
+        hood_r=hood_r,
+        hood_r1=hood_2r1,
+        hood_2r1=hood_2r1,
+    )
 
 
 @pytest.fixture
 def agent():
-    """Agent for vertex 2 with a small knowledge horizon."""
-    return VertexAgent(2, neighborhood_2r1={0, 1, 2, 3, 4}, neighborhood_r={1, 2, 3})
+    """Machine of vertex 2 with a small knowledge horizon."""
+    return machine(2, hood_2r1={0, 1, 2, 3, 4}, hood_r={1, 2, 3})
 
 
 class TestVertexStatus:
@@ -27,7 +47,7 @@ class TestVertexAgentKnowledge:
 
     def test_neighbourhoods_must_contain_self(self):
         with pytest.raises(ValueError):
-            VertexAgent(5, neighborhood_2r1={0, 1}, neighborhood_r={5})
+            machine(4, hood_2r1={0, 1}, hood_r={4})
 
     def test_observe_weight_inside_horizon(self, agent):
         agent.observe_weight(1, 3.5)
@@ -77,32 +97,39 @@ class TestLocalMaximum:
     def test_unique_max_weight_is_local_maximum(self, agent):
         weights = {0: 1.0, 1: 2.0, 2: 5.0, 3: 3.0, 4: 0.5}
         agent.known_weights.update(weights)
-        assert agent.is_local_maximum(agent.known_weights)
+        assert agent.is_local_maximum()
 
     def test_not_local_maximum_when_neighbor_is_heavier(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
         agent.known_weights.update(weights)
-        assert not agent.is_local_maximum(agent.known_weights)
+        assert not agent.is_local_maximum()
 
     def test_ties_broken_by_vertex_id(self):
-        low_id = VertexAgent(0, {0, 1}, {0, 1})
-        high_id = VertexAgent(1, {0, 1}, {0, 1})
+        pair = [{1}, {0}]
+        low_id = machine(0, {0, 1}, {0, 1}, adjacency=pair)
+        high_id = machine(1, {0, 1}, {0, 1}, adjacency=pair)
         for agent in (low_id, high_id):
             agent.observe_weight(0, 2.0)
             agent.observe_weight(1, 2.0)
-        assert low_id.is_local_maximum(low_id.known_weights)
-        assert not high_id.is_local_maximum(high_id.known_weights)
+        assert low_id.is_local_maximum()
+        assert not high_id.is_local_maximum()
 
     def test_decided_neighbors_are_ignored(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
         agent.known_weights.update(weights)
         agent.observe_status(1, VertexStatus.LOSER)
-        assert agent.is_local_maximum(agent.known_weights)
+        assert agent.is_local_maximum()
 
     def test_non_candidate_is_never_local_maximum(self, agent):
         agent.known_weights.update({v: 1.0 for v in range(5)})
         agent.mark(VertexStatus.LOSER)
-        assert not agent.is_local_maximum(agent.known_weights)
+        assert not agent.is_local_maximum()
+
+    def test_excluded_neighbors_are_ignored(self, agent):
+        agent.known_weights.update({0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5})
+        assert agent.is_local_maximum(exclude={1})
+        assert agent.begin_mini_round(1, exclude={1}) is not None
+        assert agent.status == VertexStatus.LOCAL_LEADER
 
 
 class TestCandidateSets:
@@ -114,6 +141,25 @@ class TestCandidateSets:
         agent.observe_status(3, VertexStatus.LOSER)
         assert agent.candidate_set_r() == {2}
 
+    def test_candidate_set_r_exclusion_never_drops_self(self, agent):
+        assert agent.candidate_set_r(exclude={2, 3}) == {1, 2}
+
     def test_candidate_neighbors_excludes_self_and_decided(self, agent):
         agent.observe_status(4, VertexStatus.LOSER)
         assert agent.candidate_neighbors() == {0, 1, 3}
+
+
+class TestDetermination:
+    def test_exclusion_keeps_a_vertex_out_of_the_winners(self, agent):
+        agent.known_weights.update({0: 1.0, 1: 4.0, 2: 5.0, 3: 4.0, 4: 0.5})
+        agent.mark(VertexStatus.LOCAL_LEADER)
+        honest = agent.determine_statuses(1)
+        # Honestly, {1, 3} (weight 8) beats {2} (weight 5); with 3 excluded
+        # the choice is between 1 and 2 alone, and the leader wins.
+        assert {v for v, win in honest.decisions.items() if win} == {1, 3}
+        other = machine(2, hood_2r1={0, 1, 2, 3, 4}, hood_r={1, 2, 3})
+        other.known_weights.update(agent.known_weights)
+        other.mark(VertexStatus.LOCAL_LEADER)
+        excluded = other.determine_statuses(1, exclude={3})
+        assert {v for v, win in excluded.decisions.items() if win} == {2}
+        assert other.status == VertexStatus.WINNER

@@ -1,7 +1,12 @@
 """Fault injection semantics at the engine level (repro.faults.runtime)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.distributed.ptas import DistributedRobustPTAS
+from repro.distributed.runtime import AsyncioTransport
 from repro.distributed.transport import SimulatedTransport
 from repro.faults import (
     ByzantineFault,
@@ -11,6 +16,7 @@ from repro.faults import (
     QuorumConfig,
 )
 from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.unit_disk import unit_disk_edge_array
 
 
 def hoods_for(adjacency, r):
@@ -24,7 +30,9 @@ def hoods_for(adjacency, r):
     }
 
 
-def run_faulty(adjacency, weights, plan, quorum=None, r=1):
+def run_faulty(
+    adjacency, weights, plan, quorum=None, r=1, transport_class=SimulatedTransport
+):
     hoods = hoods_for(adjacency, r)
     engine = FaultInjectionEngine(
         adjacency,
@@ -35,8 +43,26 @@ def run_faulty(adjacency, weights, plan, quorum=None, r=1):
         plan=plan,
         quorum=quorum,
     )
-    transport = SimulatedTransport(adjacency, precomputed_neighborhoods=hoods)
-    return engine.run(transport, weights)
+    transport = transport_class(adjacency, precomputed_neighborhoods=hoods)
+    try:
+        return engine.run(transport, weights)
+    finally:
+        transport.close()
+
+
+def unit_disk_instance(seed):
+    """A seeded random unit-disk graph; every third instance has tied weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 30))
+    points = rng.uniform(0.0, float(rng.uniform(1.5, 4.0)), size=(n, 2))
+    adjacency = [set() for _ in range(n)]
+    for i, j in unit_disk_edge_array(points, radius=1.0):
+        adjacency[int(i)].add(int(j))
+        adjacency[int(j)].add(int(i))
+    weights = rng.uniform(0.0, 1.0, size=n)
+    if seed % 3 == 0:
+        weights = np.round(weights * 4) / 4
+    return adjacency, [float(w) for w in weights]
 
 
 #: Star: vertex 0 is the hub, 1..4 are mutually non-adjacent leaves.
@@ -144,14 +170,49 @@ class TestEngineContracts:
             )
 
     def test_empty_plan_matches_the_honest_protocol(self):
-        from repro.distributed.ptas import DistributedRobustPTAS
-
         run, report = run_faulty(STAR, STAR_WEIGHTS, FaultPlan([]))
         honest = DistributedRobustPTAS(STAR, r=1).run(STAR_WEIGHTS)
         assert run.independent_set.vertices == honest.independent_set.vertices
         assert run.num_mini_rounds == honest.num_mini_rounds
         assert report.fault_fraction == 0.0
         assert report.corrupted_winners == 0
+        # Differential check against the honest engine on seeded unit-disk
+        # graphs, on both transports.
+        for seed in range(12):
+            adjacency, weights = unit_disk_instance(seed)
+            for r in (1, 2):
+                for transport_class in (SimulatedTransport, AsyncioTransport):
+                    run, report = run_faulty(
+                        adjacency, weights, FaultPlan([]), r=r,
+                        transport_class=transport_class,
+                    )
+                    transport = transport_class(
+                        adjacency, precomputed_neighborhoods=hoods_for(adjacency, r)
+                    )
+                    try:
+                        honest = DistributedRobustPTAS(
+                            adjacency, r=r, transport=transport
+                        ).run(weights)
+                    finally:
+                        transport.close()
+                    case = (seed, r, transport_class.__name__)
+                    assert run.mini_rounds == honest.mini_rounds, case
+                    assert run.costs == honest.costs, case
+                    assert run.converged == honest.converged, case
+                    assert run.independent == honest.independent, case
+                    assert (
+                        run.independent_set.vertices
+                        == honest.independent_set.vertices
+                    ), case
+                    # Not ==: the weight is summed in set iteration order,
+                    # and the honest engine builds its winner set from the
+                    # per-round winners while the fault engine builds it
+                    # from the final statuses, so the sums may differ in
+                    # the last ulp.
+                    assert math.isclose(
+                        run.independent_set.weight, honest.independent_set.weight
+                    ), case
+                    assert report.corrupted_winners == 0, case
 
     def test_deterministic_across_repeats(self):
         plan = FaultPlan(

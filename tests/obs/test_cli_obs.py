@@ -8,6 +8,20 @@ from repro.cli import build_parser, main
 from repro.obs import read_trace
 
 
+def _spans_under(trace, ancestor):
+    """Spans of ``trace`` with a span named ``ancestor`` above them."""
+    by_id = {span.span_id: span for span in trace.spans}
+
+    def has_ancestor(span):
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+            if span.name == ancestor:
+                return True
+        return False
+
+    return [span for span in trace.spans if has_ancestor(span)]
+
+
 class TestParser:
     def test_run_accepts_trace_and_log_level_after_the_subcommand(self):
         args = build_parser().parse_args(
@@ -39,13 +53,29 @@ class TestParser:
 
 class TestRunTrace:
     def test_run_writes_a_valid_trace(self, tmp_path, capsys):
-        trace_path = tmp_path / "run.jsonl"
-        assert main(["run", "fig6-smoke", "--trace", str(trace_path)]) == 0
-        trace = read_trace(trace_path)
-        assert trace.header["scenario"] == "fig6-smoke"
-        names = {span.name for span in trace.spans}
-        assert {"run", "run.cell", "protocol.run", "protocol.phase"} <= names
-        assert trace.counters["net.deliveries"] > 0
+        cases = (
+            ("fig6-smoke", [], None),
+            ("faults-quick", [], {"WB", "LD", "LB"}),
+            ("faults-quick", ["--set", "faults.quorum=true"], {"WB", "LD", "LB", "QR"}),
+        )
+        for index, (preset, overrides, fault_phases) in enumerate(cases):
+            trace_path = tmp_path / f"run-{index}.jsonl"
+            assert main(["run", preset, *overrides, "--trace", str(trace_path)]) == 0
+            trace = read_trace(trace_path)
+            assert trace.header["scenario"] == preset
+            names = {span.name for span in trace.spans}
+            assert {"run", "run.cell", "protocol.run", "protocol.phase"} <= names
+            assert trace.counters["net.deliveries"] > 0
+            assert trace.counters["net.messages"] > 0
+            if fault_phases is None:
+                continue
+            # Fault runs drive the one protocol loop: its mini-round and
+            # phase spans nest under faults.run.
+            assert "faults.mini_round" not in names
+            faulty = _spans_under(trace, "faults.run")
+            assert {"protocol.run", "protocol.mini_round"} <= {s.name for s in faulty}
+            phases = {s.attrs["phase"] for s in faulty if s.name == "protocol.phase"}
+            assert phases == fault_phases
 
     def test_traced_json_stdout_stays_parseable(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"

@@ -167,6 +167,22 @@ class TestWorkflow:
         assert any(
             "repro trace summarize" in command for command in commands
         ), "obs-smoke must render the recorded trace"
+        faults_runs = [
+            command
+            for command in commands
+            if "repro run faults-quick" in command
+            and "faults.quorum=true" in command
+            and "--trace" in command
+        ]
+        assert faults_runs, "obs-smoke must trace a mitigated faults-quick run"
+        assert any(
+            "read_trace" in command and "trace-faults.jsonl" in command
+            for command in commands
+        ), "obs-smoke must validate the fault-run trace"
+        assert any(
+            "tracing changed the result envelope" in command and '"faults"' in command
+            for command in commands
+        ), "obs-smoke must diff the fault run's traced envelope too"
 
     def test_benchmark_trend_gates_the_obs_group(self):
         trend = _load_workflow()["jobs"]["benchmark-trend"]
