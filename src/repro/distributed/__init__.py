@@ -17,6 +17,10 @@ Implements the distributed strategy-decision machinery of the paper:
   :class:`VertexProtocol` state machine (status and local knowledge), the
   :class:`ProtocolEngine` driver (the one mini-round loop) and the real
   :class:`AsyncioTransport`.
+* :mod:`repro.distributed.closed_form` -- :class:`ClosedFormEngine`, Algorithm
+  3 over one global candidate set with closed-form costs, run when no
+  transport is supplied; bit-identical to the state machines over
+  :class:`SimulatedTransport`.
 * :mod:`repro.distributed.ptas` -- the distributed robust PTAS (Algorithm 3).
 * :mod:`repro.distributed.framework` -- the per-round strategy decision
   wrapper used by Algorithm 2, exposing the :class:`repro.mwis.MWISSolver`
@@ -47,6 +51,7 @@ from repro.distributed.runtime import (
     ProtocolEngine,
     VertexProtocol,
 )
+from repro.distributed.closed_form import ClosedFormEngine
 from repro.distributed.ptas import (
     DistributedRobustPTAS,
     MiniRoundRecord,
@@ -86,6 +91,7 @@ __all__ = [
     "VertexStatus",
     "VertexProtocol",
     "ProtocolEngine",
+    "ClosedFormEngine",
     "DistributedRobustPTAS",
     "MiniRoundRecord",
     "ProtocolResult",

@@ -49,7 +49,6 @@ class DistributedMWISSolver(MWISSolver):
             r=r,
             max_mini_rounds=max_mini_rounds,
             local_solver=local_solver,
-            master_of=[extended_graph.master_of(v) for v in extended_graph.vertices()],
         )
         self._last_result: Optional[ProtocolResult] = None
         #: Vertices of the previously returned strategy; they are the ones

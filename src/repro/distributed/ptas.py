@@ -26,18 +26,28 @@ a constant-factor approximation on random networks (Theorem 4) -- experiment
 E1 / Fig. 6 measures exactly this convergence.
 
 This class is the user-facing wrapper: it validates parameters, precomputes
-the neighbourhood tables once per topology, and runs the protocol over
-either an internally-built :class:`~repro.distributed.transport.
-SimulatedTransport` (the back-compat ``adjacency``-only path) or any
-transport passed via ``transport=`` — including the real asyncio runtime.
+the neighbourhood tables once per topology, and picks the engine from one
+fact, whether a transport was supplied:
+
+* without ``transport=`` it runs the closed-form engine of
+  :mod:`repro.distributed.closed_form`, which executes Algorithm 3 over one
+  global candidate set and charges the messages a lossless
+  :class:`~repro.distributed.transport.SimulatedTransport` would carry;
+* with ``transport=`` (the simulated oracle, the asyncio runtime, a lossy
+  network) it runs the per-vertex state machines of
+  :mod:`repro.distributed.runtime` over that transport.
+
+Both give bit-identical results on a lossless, in-order transport (see
+``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.distributed.closed_form import ClosedFormEngine
 from repro.distributed.runtime import MiniRoundRecord, ProtocolEngine, ProtocolResult
-from repro.distributed.transport import SimulatedTransport, Transport
+from repro.distributed.transport import Transport
 from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.mwis.base import Adjacency, MWISSolver
 
@@ -49,7 +59,8 @@ class DistributedRobustPTAS:
 
     Neighbourhood structures are precomputed once per topology so that the
     per-round work matches the distributed algorithm (the real protocol also
-    discovers its neighbourhood once, not every round).
+    discovers its neighbourhood once, not every round).  The space-cost
+    report counts the weights stored by each vertex of ``H``.
 
     Parameters
     ----------
@@ -64,10 +75,6 @@ class DistributedRobustPTAS:
     local_solver:
         Solver used for the local MWIS instances; defaults to exact
         enumeration as in the paper.
-    master_of:
-        Optional map from vertex id to master-node id, used only for the
-        space-cost report (the O(m) claim counts master nodes); defaults to
-        counting vertices.
     precomputed_neighborhoods:
         Optional externally-owned neighbourhood caches, mapping hop radius
         to the per-vertex neighbourhood list.  Must cover the radii ``r``,
@@ -78,9 +85,10 @@ class DistributedRobustPTAS:
         Optional :class:`~repro.distributed.transport.Transport` instance to
         run the protocol over.  It is :meth:`~repro.distributed.transport.
         Transport.reset` before every :meth:`run` so per-run cost reports
-        never mix rounds.  When omitted, each run builds a fresh
-        :class:`~repro.distributed.transport.SimulatedTransport` over
-        ``adjacency`` (the historical behaviour, bit for bit).
+        never mix rounds.  When omitted, each run uses the closed-form
+        engine, whose results, spans and counters are those of a fresh
+        :class:`~repro.distributed.transport.SimulatedTransport` run, bit
+        for bit.
     """
 
     def __init__(
@@ -89,7 +97,6 @@ class DistributedRobustPTAS:
         r: int = 2,
         max_mini_rounds: Optional[int] = None,
         local_solver: Optional[MWISSolver] = None,
-        master_of: Optional[Sequence[int]] = None,
         precomputed_neighborhoods: Optional[Dict[int, List[Set[int]]]] = None,
         transport: Optional[Transport] = None,
     ) -> None:
@@ -118,7 +125,6 @@ class DistributedRobustPTAS:
         self._r = r
         self._max_mini_rounds = max_mini_rounds
         self._local_solver = local_solver
-        self._master_of = list(master_of) if master_of is not None else None
         self._transport = transport
         # Precompute the neighbourhood radii used by the protocol: r for the
         # local MWIS, r+1 for the Loser ball, 2r+1 for knowledge/elections and
@@ -145,14 +151,26 @@ class DistributedRobustPTAS:
             self._hood_r1 = self._all_neighborhoods(r + 1)
             self._hood_2r1 = self._all_neighborhoods(2 * r + 1)
             self._hood_lb = self._all_neighborhoods(3 * r + 2)
-        self._engine = ProtocolEngine(
-            self._adjacency,
-            r=self._r,
-            hood_r=self._hood_r,
-            hood_r1=self._hood_r1,
-            hood_2r1=self._hood_2r1,
-            local_solver=self._local_solver,
-        )
+        if transport is None:
+            self._closed_form: Optional[ClosedFormEngine] = ClosedFormEngine(
+                self._adjacency,
+                r=self._r,
+                hood_r=self._hood_r,
+                hood_r1=self._hood_r1,
+                hood_2r1=self._hood_2r1,
+                hood_lb=self._hood_lb,
+                local_solver=self._local_solver,
+            )
+        else:
+            self._closed_form = None
+            self._engine = ProtocolEngine(
+                self._adjacency,
+                r=self._r,
+                hood_r=self._hood_r,
+                hood_r1=self._hood_r1,
+                hood_2r1=self._hood_2r1,
+                local_solver=self._local_solver,
+            )
 
     # ------------------------------------------------------------------
     # Precomputation helpers
@@ -226,20 +244,15 @@ class DistributedRobustPTAS:
             raise ValueError(f"max_mini_rounds must be positive, got {budget}")
         hard_limit = self._num_vertices if budget is None else min(budget, max(1, self._num_vertices))
 
-        if self._transport is None:
-            transport: Transport = SimulatedTransport(
-                self._adjacency,
-                precomputed_neighborhoods={
-                    self._r: self._hood_r,
-                    2 * self._r + 1: self._hood_2r1,
-                    3 * self._r + 2: self._hood_lb,
-                },
+        if self._closed_form is not None:
+            return self._closed_form.run(
+                weights,
+                broadcasting_vertices=broadcasting_vertices,
+                hard_limit=hard_limit,
             )
-        else:
-            transport = self._transport
-            transport.reset()
+        self._transport.reset()
         return self._engine.run(
-            transport,
+            self._transport,
             weights,
             broadcasting_vertices=broadcasting_vertices,
             hard_limit=hard_limit,

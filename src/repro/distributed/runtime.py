@@ -75,6 +75,13 @@ __all__ = [
 #: Latency distributions :class:`AsyncioTransport` can impose on deliveries.
 LATENCY_KINDS = ("none", "uniform", "exponential")
 
+#: Raised when a lossless run yields a dependent set: the honest protocol
+#: cannot, so that is a bug.
+DEPENDENT_OUTPUT_MESSAGE = (
+    "distributed PTAS produced a dependent vertex set on a lossless transport; "
+    "this is a bug"
+)
+
 
 @dataclass(frozen=True)
 class MiniRoundRecord:
@@ -491,10 +498,7 @@ class ProtocolEngine:
         """
         result = self._run(transport, weights, broadcasting_vertices, hard_limit, _HONEST)
         if not result.independent and transport.is_lossless:
-            raise RuntimeError(
-                "distributed PTAS produced a dependent vertex set on a "
-                "lossless transport; this is a bug"
-            )
+            raise RuntimeError(DEPENDENT_OUTPUT_MESSAGE)
         return result
 
     def _run(

@@ -30,4 +30,9 @@ class VertexStatus(enum.Enum):
     @property
     def is_decided(self) -> bool:
         """``True`` for terminal statuses (Winner or Loser)."""
-        return self in (VertexStatus.WINNER, VertexStatus.LOSER)
+        return self in _TERMINAL
+
+
+#: The terminal statuses, built once (``is_decided`` runs millions of times
+#: per oracle run).
+_TERMINAL = frozenset({VertexStatus.WINNER, VertexStatus.LOSER})

@@ -169,7 +169,6 @@ class DynamicStrategyEngine:
             r=r,
             max_mini_rounds=max_mini_rounds,
             local_solver=local_solver,
-            master_of=self.extended.masters(),
             precomputed_neighborhoods={
                 radius: cache.hoods for radius, cache in self._caches.items()
             },

@@ -211,13 +211,22 @@ class TestEngineAndVertexProtocol:
     def test_dependent_output_on_a_lossless_transport_raises(self, monkeypatch):
         # A broken local MWIS that crowns every candidate makes the honest
         # protocol emit adjacent Winners; on a lossless transport that can
-        # only be a bug, so the honest engine refuses the result.
-        from repro.distributed import runtime
+        # only be a bug, so both engines refuse the result: the closed form
+        # (no transport supplied) and the vertex machines over the
+        # simulated transport, each patched where it looks the solver up.
+        from repro.distributed import closed_form, runtime
         from repro.mwis.base import IndependentSet
 
         def every_candidate(adjacency, weights, candidates, solver=None):
             return IndependentSet.from_iterable(candidates, weights)
 
+        monkeypatch.setattr(closed_form, "solve_local_mwis", every_candidate)
         monkeypatch.setattr(runtime, "solve_local_mwis", every_candidate)
-        with pytest.raises(RuntimeError, match="dependent vertex set"):
-            DistributedRobustPTAS([{1}, {0, 2}, {1}], r=1).run([1.0, 2.0, 1.0])
+        adjacency = [{1}, {0, 2}, {1}]
+        errors = []
+        for transport in (None, SimulatedTransport(adjacency)):
+            protocol = DistributedRobustPTAS(adjacency, r=1, transport=transport)
+            with pytest.raises(RuntimeError, match="dependent vertex set") as caught:
+                protocol.run([1.0, 2.0, 1.0])
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
