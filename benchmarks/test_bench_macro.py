@@ -2,8 +2,9 @@
 
 The micro benches (solvers/policies/fig*) exercise paper-scale networks of
 tens of users.  This group locks in the large-``n`` path instead — the
-cell-bucket unit-disk builder, the CSR constructions of ``G`` and ``H`` and
-the frontier-BFS r-hop sweep — at the sizes the scaling work targets
+cell-bucket unit-disk builder, the CSR constructions of ``G`` and ``H``, the
+frontier-BFS r-hop sweep and one protocol-mode strategy decision over a
+10^4-vertex ``H`` — at the sizes the scaling work targets
 (``docs/scaling.md``).  The committed baseline in ``benchmarks/baseline.json``
 carries entries for this ``macro`` group, and the ``scale-smoke`` CI job
 gates the n=10k subset at the same 2x median ratio as the micro groups.
@@ -22,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.distributed import DistributedRobustPTAS
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.neighborhoods import r_hop_neighborhood_arrays
@@ -31,6 +33,7 @@ from repro.graph.unit_disk import (
     unit_disk_edge_array,
     unit_disk_edges_naive,
 )
+from repro.mwis.greedy import GreedyMWISSolver
 
 N_10K = 10_000
 N_100K = 100_000
@@ -85,6 +88,32 @@ def test_r_hop_arrays_10k(benchmark, graph_10k):
     assert len(offsets) == N_10K + 1
     # every 1-hop ball contains at least the vertex itself
     assert members.size >= N_10K
+
+
+@pytest.fixture(scope="module")
+def extended_2k_by_5():
+    """The 10^4-vertex ``H`` of 2000 unit-disk nodes on 5 channels."""
+    coords = _deployment(2000)
+    graph = ConflictGraph(2000, unit_disk_edge_array(coords, DEFAULT_CONFLICT_RADIUS), 5)
+    return ExtendedConflictGraph(graph).adjacency_sets()
+
+
+def test_protocol_decision_10k(benchmark, extended_2k_by_5):
+    """Neighbourhood tables plus one closed-form decision at r = 2.
+
+    The local MWIS is the greedy solver, as the spec layer picks for any
+    ``H`` above 400 vertices.
+    """
+    adjacency = extended_2k_by_5
+    weights = np.random.default_rng(7).uniform(0.0, 1.0, size=len(adjacency))
+
+    def decide():
+        protocol = DistributedRobustPTAS(adjacency, r=2, local_solver=GreedyMWISSolver())
+        return protocol.run(weights)
+
+    result = benchmark(decide)
+    assert len(adjacency) == 10_000
+    assert result.converged and result.independent
 
 
 def test_grid_builder_beats_naive_at_10k(coords_10k):

@@ -20,6 +20,14 @@ closed form from ball sizes:
   ``3r+2`` mini-timeslots;
 * every vertex stores ``|J_{2r+1}(v)|`` weights.
 
+The (2r+1)- and (3r+2)-balls are only counted or intersected, so the engine
+reads them as Python-int bitmasks
+(:func:`~repro.graph.neighborhoods.ball_bitsets`): sizes are
+``int.bit_count()`` and the election is one AND per candidate.  The r-ball
+stays a set built by :func:`~repro.graph.neighborhoods.r_hop_neighborhood`,
+because its iteration order feeds the local MWIS and the order of every
+frozenset in the records.
+
 Its result, spans and counters are bit-identical to ``ProtocolEngine`` over
 ``SimulatedTransport``, which stays the oracle (the differential test in
 ``tests/distributed/test_closed_form.py`` holds the two together) and the
@@ -47,9 +55,10 @@ class ClosedFormEngine:
     """Algorithm 3 over one global candidate set (lossless simulated runs).
 
     Parameters mirror :class:`~repro.distributed.runtime.ProtocolEngine`,
-    plus ``hood_lb``, the (3r+2)-hop table the LB delivery count reads.  The
-    tables are read at every :meth:`run`, so lists maintained in place (as
-    :mod:`repro.dynamics` does) stay live.
+    except that the (2r+1)- and (3r+2)-balls come as bitmask lists
+    (``ball_2r1``, ``ball_lb``; bit ``u`` of ``ball_2r1[v]`` is set iff
+    ``d(u, v) <= 2r+1``).  All tables are read at every :meth:`run`, so
+    lists patched in place (as :mod:`repro.dynamics` does) stay live.
     """
 
     def __init__(
@@ -57,18 +66,16 @@ class ClosedFormEngine:
         adjacency: Adjacency,
         r: int,
         hood_r: List[Set[int]],
-        hood_r1: List[Set[int]],
-        hood_2r1: List[Set[int]],
-        hood_lb: List[Set[int]],
+        ball_2r1: List[int],
+        ball_lb: List[int],
         local_solver: Optional[MWISSolver] = None,
     ) -> None:
         self._adjacency = adjacency
         self._num_vertices = len(adjacency)
         self._r = r
         self._hood_r = hood_r
-        self._hood_r1 = hood_r1
-        self._hood_2r1 = hood_2r1
-        self._hood_lb = hood_lb
+        self._ball_2r1 = ball_2r1
+        self._ball_lb = ball_lb
         self._local_solver = local_solver
 
     def run(
@@ -108,12 +115,12 @@ class ClosedFormEngine:
         obs,
     ) -> ProtocolResult:
         n = self._num_vertices
-        hood_2r1 = self._hood_2r1
-        hood_lb = self._hood_lb
+        ball_2r1 = self._ball_2r1
+        ball_lb = self._ball_lb
         announce_hops = 2 * self._r + 1
         lb_hops = 3 * self._r + 2
         values = [float(weights[vertex]) for vertex in range(n)]
-        keys = [(values[vertex], -vertex) for vertex in range(n)]
+        horizon = [ball.bit_count() for ball in ball_2r1]
         messages = [0] * n
         deliveries = 0
         timeslots = {"WB": 0, "LD": 0, "LB": 0}
@@ -129,34 +136,38 @@ class ClosedFormEngine:
                         f"broadcasting vertex {sender} out of range [0, {n})"
                     )
                 messages[sender] += 1
-                deliveries += len(hood_2r1[sender]) - 1
+                deliveries += horizon[sender] - 1
                 timeslots["WB"] += announce_hops
 
-        # Candidates in ascending id (the oracle's vertex order) and as a set.
-        candidates = list(range(n))
-        candidate_set = set(candidates)
+        # Candidates in descending (weight, -id) order, the strict total
+        # order of the election, and as a set.
+        ranked = sorted(range(n), key=lambda vertex: (values[vertex], -vertex), reverse=True)
+        candidate_set = set(ranked)
         records: List[MiniRoundRecord] = []
         winners: Set[int] = set()
         cumulative_weight = 0.0
         computation = ComputationCosts()
 
         for mini_round in range(1, hard_limit + 1):
-            if not candidates:
+            if not ranked:
                 break
             with obs.span("protocol.mini_round", mini_round=mini_round) as round_span:
                 with obs.span("protocol.phase", phase="LD"):
-                    # Line 3 of Algorithm 3, ties broken by smaller id.
+                    # Line 3 of Algorithm 3, ties broken by smaller id: a
+                    # candidate leads iff no greater candidate lies in its
+                    # (2r+1)-ball.  ``greater`` holds the candidates swept
+                    # so far, which are exactly the greater ones.
+                    greater = 0
                     leaders = []
-                    for vertex in candidates:
-                        own = keys[vertex]
-                        for other in hood_2r1[vertex]:
-                            if other in candidate_set and keys[other] > own:
-                                break
-                        else:
+                    for vertex in ranked:
+                        if not ball_2r1[vertex] & greater:
                             leaders.append(vertex)
                             messages[vertex] += 1
-                            deliveries += len(hood_2r1[vertex]) - 1
+                            deliveries += horizon[vertex] - 1
                             timeslots["LD"] += announce_hops
+                        greater |= 1 << vertex
+                    # Leaders decide in ascending id, the oracle's order.
+                    leaders.sort()
                 new_winners: Set[int] = set()
                 new_losers: Set[int] = set()
                 with obs.span("protocol.phase", phase="LB"):
@@ -167,7 +178,7 @@ class ClosedFormEngine:
                         for vertex, is_winner in decisions.items():
                             (new_winners if is_winner else new_losers).add(vertex)
                         messages[leader] += 1
-                        deliveries += len(hood_lb[leader]) - 1
+                        deliveries += ball_lb[leader].bit_count() - 1
                         timeslots["LB"] += lb_hops
                     candidate_set -= new_winners
                     candidate_set -= new_losers
@@ -178,7 +189,7 @@ class ClosedFormEngine:
                 )
             winners |= new_winners
             cumulative_weight += sum(values[v] for v in new_winners)
-            candidates = [vertex for vertex in candidates if vertex in candidate_set]
+            ranked = [vertex for vertex in ranked if vertex in candidate_set]
             records.append(
                 MiniRoundRecord(
                     index=mini_round,
@@ -186,7 +197,7 @@ class ClosedFormEngine:
                     new_winners=frozenset(new_winners),
                     new_losers=frozenset(new_losers),
                     cumulative_weight=cumulative_weight,
-                    remaining_candidates=len(candidates),
+                    remaining_candidates=len(ranked),
                 )
             )
             computation.mini_rounds = mini_round
@@ -198,13 +209,13 @@ class ClosedFormEngine:
                 mini_timeslots_per_phase=timeslots,
             ),
             computation=computation,
-            stored_weights_per_vertex=[len(hood) for hood in hood_2r1],
+            stored_weights_per_vertex=horizon,
         )
         return ProtocolResult(
             independent_set=IndependentSet.from_iterable(winners, weights),
             mini_rounds=records,
             costs=costs,
-            converged=not candidates,
+            converged=not ranked,
             independent=is_independent(self._adjacency, winners),
         )
 
@@ -237,11 +248,11 @@ class ClosedFormEngine:
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
-        hood_r1 = self._hood_r1[leader]
+        # The machines also keep only neighbours within r+1 hops of the
+        # leader.  That filter always passes here: winners lie in
+        # J_r(leader), so their neighbours lie in J_{r+1}(leader).
         removal = local | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in hood_r1 and vertex in candidate_set
+            vertex for vertex in winner_neighbors if vertex in candidate_set
         }
         losers = removal - winners
         decisions = {vertex: True for vertex in winners}

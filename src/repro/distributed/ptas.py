@@ -48,7 +48,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.distributed.closed_form import ClosedFormEngine
 from repro.distributed.runtime import MiniRoundRecord, ProtocolEngine, ProtocolResult
 from repro.distributed.transport import Transport
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import (
+    all_r_hop_neighborhoods,
+    ball_bitsets,
+    bitmask,
+    protocol_neighborhoods,
+)
 from repro.mwis.base import Adjacency, MWISSolver
 
 __all__ = ["MiniRoundRecord", "ProtocolResult", "DistributedRobustPTAS"]
@@ -77,10 +82,13 @@ class DistributedRobustPTAS:
         enumeration as in the paper.
     precomputed_neighborhoods:
         Optional externally-owned neighbourhood caches, mapping hop radius
-        to the per-vertex neighbourhood list.  Must cover the radii ``r``,
-        ``r + 1``, ``2r + 1`` and ``3r + 2``; lists are kept *by reference*,
-        which lets :mod:`repro.dynamics` maintain them incrementally while
-        the protocol keeps running on the live topology.
+        to the per-vertex neighbourhood list.  Must cover the radii the
+        selected engine reads: ``r``, ``r + 1`` and ``2r + 1`` with a
+        transport; ``r``, ``2r + 1`` and ``3r + 2`` without one, where the
+        last two are read by :meth:`refresh_neighborhoods` (the closed
+        form's bitmasks start from the adjacency).  Lists are kept *by
+        reference*, which lets :mod:`repro.dynamics` maintain them
+        incrementally while the protocol keeps running on the live topology.
     transport:
         Optional :class:`~repro.distributed.transport.Transport` instance to
         run the protocol over.  It is :meth:`~repro.distributed.transport.
@@ -126,39 +134,43 @@ class DistributedRobustPTAS:
         self._max_mini_rounds = max_mini_rounds
         self._local_solver = local_solver
         self._transport = transport
-        # Precompute the neighbourhood radii used by the protocol: r for the
-        # local MWIS, r+1 for the Loser ball, 2r+1 for knowledge/elections and
-        # 3r+2 for the determination broadcast.  The paper broadcasts within
-        # 3r+1 hops because its Losers lie within r hops of the leader; our
-        # Loser set additionally contains the Winners' direct neighbours
-        # (distance up to r+1), so one extra hop is needed for every vertex
-        # whose (2r+1)-hop election horizon contains a decided vertex to learn
-        # about the decision before the next mini-round.
+        # The protocol's radii: r for the local MWIS, r+1 for the Loser
+        # ball, 2r+1 for knowledge/elections and 3r+2 for the determination
+        # broadcast.  The paper broadcasts within 3r+1 hops because its
+        # Losers lie within r hops of the leader; our Loser set additionally
+        # contains the Winners' direct neighbours (distance up to r+1), so one
+        # extra hop is needed for every vertex whose (2r+1)-hop election
+        # horizon contains a decided vertex to learn about the decision
+        # before the next mini-round.  Each engine reads only some of them:
+        # the closed form the r-ball as a set and the (2r+1)- and (3r+2)-balls
+        # as bitmasks, the vertex machines the r-, (r+1)- and (2r+1)-balls as
+        # sets.
+        if transport is None:
+            required = (r, 2 * r + 1, 3 * r + 2)
+        else:
+            required = (r, r + 1, 2 * r + 1)
         if precomputed_neighborhoods is not None:
-            required = (r, r + 1, 2 * r + 1, 3 * r + 2)
             missing = [hops for hops in required if hops not in precomputed_neighborhoods]
             if missing:
                 raise ValueError(
                     f"precomputed_neighborhoods is missing radii {missing}; "
                     f"the protocol needs {list(required)}"
                 )
-            self._hood_r = precomputed_neighborhoods[r]
-            self._hood_r1 = precomputed_neighborhoods[r + 1]
-            self._hood_2r1 = precomputed_neighborhoods[2 * r + 1]
-            self._hood_lb = precomputed_neighborhoods[3 * r + 2]
+            self._tables = dict(precomputed_neighborhoods)
+        elif transport is None:
+            self._tables = {r: all_r_hop_neighborhoods(adjacency, r)}
         else:
-            self._hood_r = self._all_neighborhoods(r)
-            self._hood_r1 = self._all_neighborhoods(r + 1)
-            self._hood_2r1 = self._all_neighborhoods(2 * r + 1)
-            self._hood_lb = self._all_neighborhoods(3 * r + 2)
+            self._tables = protocol_neighborhoods(adjacency, r)
+        # Every protocol radius as sets, built by transport_neighborhoods().
+        self._transport_tables: Optional[Dict[int, List[Set[int]]]] = None
         if transport is None:
+            self._balls = ball_bitsets(adjacency, required[1:])
             self._closed_form: Optional[ClosedFormEngine] = ClosedFormEngine(
                 self._adjacency,
                 r=self._r,
-                hood_r=self._hood_r,
-                hood_r1=self._hood_r1,
-                hood_2r1=self._hood_2r1,
-                hood_lb=self._hood_lb,
+                hood_r=self._tables[r],
+                ball_2r1=self._balls[2 * r + 1],
+                ball_lb=self._balls[3 * r + 2],
                 local_solver=self._local_solver,
             )
         else:
@@ -166,20 +178,11 @@ class DistributedRobustPTAS:
             self._engine = ProtocolEngine(
                 self._adjacency,
                 r=self._r,
-                hood_r=self._hood_r,
-                hood_r1=self._hood_r1,
-                hood_2r1=self._hood_2r1,
+                hood_r=self._tables[r],
+                hood_r1=self._tables[r + 1],
+                hood_2r1=self._tables[2 * r + 1],
                 local_solver=self._local_solver,
             )
-
-    # ------------------------------------------------------------------
-    # Precomputation helpers
-    # ------------------------------------------------------------------
-    def _all_neighborhoods(self, hops: int) -> List[Set[int]]:
-        return [
-            r_hop_neighborhood(self._adjacency, vertex, hops)
-            for vertex in range(self._num_vertices)
-        ]
 
     @property
     def r(self) -> int:
@@ -197,18 +200,37 @@ class DistributedRobustPTAS:
         return self._transport
 
     def transport_neighborhoods(self) -> Dict[int, List[Set[int]]]:
-        """The broadcast-radius neighbourhood tables, for external transports.
+        """The set tables of every protocol radius, for external transports.
 
         A transport built over the same graph can share these caches instead
         of recomputing k-hop routing (the radii cover every broadcast the
-        protocol emits plus the local-MWIS radius ``r``).
+        protocol emits plus the local-MWIS radius ``r``).  Tables the engine
+        holds are shared; the others are built on the first call by the same
+        BFS, so every table iterates as a fresh build does.
         """
-        return {
-            self._r: self._hood_r,
-            self._r + 1: self._hood_r1,
-            2 * self._r + 1: self._hood_2r1,
-            3 * self._r + 2: self._hood_lb,
-        }
+        if self._transport_tables is None:
+            self._transport_tables = protocol_neighborhoods(
+                self._adjacency, self._r, known=self._tables
+            )
+        return dict(self._transport_tables)
+
+    def refresh_neighborhoods(self, vertices: Iterable[int]) -> None:
+        """Re-read ``vertices``' entries after the precomputed tables changed.
+
+        Callers that patch ``precomputed_neighborhoods`` in place (as
+        :mod:`repro.dynamics` does after each event batch) name the vertices
+        whose balls they recomputed.  The closed form's bitmasks of those
+        vertices are rebuilt from the patched (2r+1)- and (3r+2)-hop sets,
+        and the tables built by :meth:`transport_neighborhoods` are dropped.
+        """
+        self._transport_tables = None
+        if self._closed_form is None:
+            return
+        vertices = list(vertices)
+        for hops, balls in self._balls.items():
+            hoods = self._tables[hops]
+            for vertex in vertices:
+                balls[vertex] = bitmask(hoods[vertex])
 
     # ------------------------------------------------------------------
     # Protocol execution

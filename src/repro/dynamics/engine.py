@@ -7,10 +7,12 @@ dynamics shares per replication:
   in-place maintained :class:`~repro.dynamics.graph.DynamicExtendedGraph`
   (``H``),
 * one :class:`~repro.dynamics.graph.IncrementalNeighborhoods` cache per
-  protocol radius (``r``, ``r+1``, ``2r+1``, ``3r+2``), and
+  radius the closed-form decision reads (``r``, ``2r+1``, ``3r+2``), and
 * a :class:`~repro.distributed.ptas.DistributedRobustPTAS` built over the
   *live* adjacency and caches, so after an event is applied incrementally
-  the protocol immediately runs on the new topology — no rebuild.
+  the protocol immediately runs on the new topology — no rebuild.  Its
+  bitmask view of the (2r+1)- and (3r+2)-balls is refreshed for the
+  recomputed vertices when the events apply, never per decision.
 
 Policies get their strategy decisions through :meth:`solver`, which returns
 a :class:`DynamicStrategySolver`: a drop-in
@@ -160,7 +162,7 @@ class DynamicStrategyEngine:
         self.extended = DynamicExtendedGraph(self.topology)
         adjacency = self.extended.adjacency
         self._r = r
-        radii = sorted({r, r + 1, 2 * r + 1, 3 * r + 2})
+        radii = (r, 2 * r + 1, 3 * r + 2)
         self._caches = {
             radius: IncrementalNeighborhoods(adjacency, radius) for radius in radii
         }
@@ -207,8 +209,12 @@ class DynamicStrategyEngine:
         touched = extended_delta.touched_vertices
         recomputed = 0
         if touched:
+            refreshed: Set[int] = set()
             for cache in self._caches.values():
-                recomputed = max(recomputed, len(cache.update(touched)))
+                affected = cache.update(touched)
+                recomputed = max(recomputed, len(affected))
+                refreshed |= affected
+            self.protocol.refresh_neighborhoods(refreshed)
         for solver in self._solvers:
             solver.invalidate()
         self.num_event_batches += 1

@@ -22,12 +22,24 @@ Two implementations sit behind one API:
 Equivalence of the two paths over every registered topology preset and
 under random churn sequences is locked by
 ``tests/graph/test_csr_equivalence.py``.
+
+Two more forms serve the strategy decision of Algorithm 3:
+
+* :func:`protocol_neighborhoods` builds the per-vertex set tables of every
+  radius the protocol uses, the form the per-vertex machines, the
+  transports and fault runs read;
+* :func:`ball_bitsets` returns whole tables of balls as Python-int
+  bitmasks from one level-synchronous pass, for consumers that only count
+  or intersect balls (the closed-form decision).  It is held to the BFS by
+  ``tests/graph/test_ball_bitsets.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from functools import reduce
+from operator import or_
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +52,9 @@ __all__ = [
     "r_hop_neighborhood",
     "all_r_hop_neighborhoods",
     "r_hop_neighborhood_arrays",
+    "protocol_neighborhoods",
+    "ball_bitsets",
+    "bitmask",
     "eccentricity",
     "graph_diameter",
 ]
@@ -201,6 +216,73 @@ def r_hop_neighborhood_arrays(
         np.concatenate(hoods) if hoods else np.zeros(0, dtype=np.int64)
     )
     return offsets, members
+
+
+def protocol_neighborhoods(
+    adjacency: Sequence[Set[int]],
+    r: int,
+    known: Optional[Mapping[int, List[Set[int]]]] = None,
+) -> Dict[int, List[Set[int]]]:
+    """Per-vertex ``J_k(v)`` set tables for every radius Algorithm 3 reads.
+
+    The radii are ``r`` (local MWIS), ``r + 1`` (Loser ball), ``2r + 1``
+    (knowledge and elections) and ``3r + 2`` (determination broadcast; see
+    :mod:`repro.distributed.ptas`).  Tables already in ``known`` are reused
+    by reference; the others are built with :func:`r_hop_neighborhood`,
+    whose set iteration order the protocol's records inherit.
+    """
+    known = known or {}
+    tables: Dict[int, List[Set[int]]] = {}
+    for hops in (r, r + 1, 2 * r + 1, 3 * r + 2):
+        if hops in known:
+            tables[hops] = known[hops]
+        else:
+            tables[hops] = [
+                r_hop_neighborhood(adjacency, vertex, hops)
+                for vertex in range(len(adjacency))
+            ]
+    return tables
+
+
+def ball_bitsets(graph: AdjacencyLike, radii: Iterable[int]) -> Dict[int, List[int]]:
+    """Every ``J_k(v)`` for each ``k`` in ``radii``, as Python-int bitmasks.
+
+    Bit ``u`` of ``balls[k][v]`` is set iff ``d(u, v) <= k``.  One
+    level-synchronous pass builds them all: level ``k + 1`` ORs each
+    vertex's level-``k`` mask with its neighbours' masks, since
+    ``J_{k+1}(v)`` is the union of ``J_k(u)`` over ``u`` in ``J_1(v)``.  The
+    cost is ``max(radii)`` sweeps of big-int ORs over the edge list; no set
+    is built.  The pass stops early once a level adds no bit, every ball
+    then being its connected component.  Each radius gets its own list.
+    """
+    wanted = sorted(set(radii))
+    if wanted and wanted[0] < 0:
+        raise ValueError(f"radii must be non-negative, got {wanted[0]}")
+    adjacency = _adjacency(graph)
+    level = [1 << vertex for vertex in range(len(adjacency))]
+    hops = 0
+    stable = False
+    balls: Dict[int, List[int]] = {}
+    for target in wanted:
+        while hops < target and not stable:
+            grown = [
+                reduce(or_, map(level.__getitem__, neighbors), level[vertex])
+                for vertex, neighbors in enumerate(adjacency)
+            ]
+            stable = grown == level
+            level = grown
+            hops += 1
+        # Past a stable level, the radii would otherwise share one list.
+        balls[target] = level if hops == target else list(level)
+    return balls
+
+
+def bitmask(members: Iterable[int]) -> int:
+    """The bitmask of a vertex set: bit ``u`` set iff ``u`` is a member."""
+    mask = 0
+    for member in members:
+        mask |= 1 << member
+    return mask
 
 
 def eccentricity(graph: AdjacencyLike, vertex: int) -> float:

@@ -101,6 +101,18 @@ class TestWorkflow:
             for command in commands
         ), "benchmark-smoke must fail unless perfbench learn reports correct, 0 failed"
 
+    def test_benchmark_smoke_checks_the_perfbench_decide_digests(self):
+        smoke = _load_workflow()["jobs"]["benchmark-smoke"]
+        commands = [step.get("run", "") for step in smoke["steps"]]
+        assert any(
+            "python3 perfbench/run.py --workload decide --seed 1 --seconds 5 --trace 1"
+            in command
+            and 'result["correct"] is True' in command
+            and 'result["failed"] == 0' in command
+            and "lines[-1]" in command
+            for command in commands
+        ), "benchmark-smoke must fail unless perfbench decide reports correct, 0 failed"
+
     def test_benchmark_trend_records_and_gates_the_trajectory(self):
         trend = _load_workflow()["jobs"]["benchmark-trend"]
         commands = [step.get("run", "") for step in trend["steps"]]
